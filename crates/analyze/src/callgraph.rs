@@ -340,81 +340,6 @@ impl<'w> CallGraph<'w> {
     pub fn find_qual(&self, qual: &str) -> Vec<usize> {
         self.by_qual.get(qual).cloned().unwrap_or_default()
     }
-
-    /// Deterministic TSV dump: one edge per line —
-    /// `caller_path\tcaller_qual\tline\tcallee_path\tcallee_qual`.
-    /// Nodes without edges still appear, with `-` callee columns, so
-    /// the snapshot pins the full node set.
-    ///
-    /// Rows sort by `(caller path, caller qual, callee path, callee
-    /// qual, numeric line)` — the line number last and compared as a
-    /// number, not lexically by the rendered row. Pure code motion (an
-    /// edge's call site shifting down a file) keeps a caller's rows
-    /// together instead of reshuffling them, so snapshot regenerations
-    /// diff append-mostly.
-    pub fn to_tsv(&self) -> String {
-        let mut rows: Vec<(String, String, String, String, u32)> = Vec::new();
-        for (id, edges) in self.edges.iter().enumerate() {
-            let path = self.file(id).path.clone();
-            let qual = self.def(id).qual.clone();
-            if edges.is_empty() {
-                rows.push((
-                    path.clone(),
-                    qual.clone(),
-                    "-".to_owned(),
-                    "-".to_owned(),
-                    0,
-                ));
-            }
-            for e in edges {
-                rows.push((
-                    path.clone(),
-                    qual.clone(),
-                    self.file(e.callee).path.clone(),
-                    self.def(e.callee).qual.clone(),
-                    e.line,
-                ));
-            }
-        }
-        rows.sort();
-        rows.dedup();
-        let mut out = String::new();
-        for (path, qual, callee_path, callee_qual, line) in rows {
-            let line_text = if callee_path == "-" {
-                "-".to_owned()
-            } else {
-                line.to_string()
-            };
-            out.push_str(&format!(
-                "{path}\t{qual}\t{line_text}\t{callee_path}\t{callee_qual}\n"
-            ));
-        }
-        out
-    }
-
-    /// Deterministic DOT dump (sorted, crate-qualified labels) for
-    /// visual inspection with graphviz.
-    pub fn to_dot(&self) -> String {
-        let mut edges = BTreeSet::new();
-        for (id, out) in self.edges.iter().enumerate() {
-            for e in out {
-                edges.insert((
-                    format!("{}::{}", self.file(id).crate_name, self.def(id).qual),
-                    format!(
-                        "{}::{}",
-                        self.file(e.callee).crate_name,
-                        self.def(e.callee).qual
-                    ),
-                ));
-            }
-        }
-        let mut s = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (a, b) in edges {
-            s.push_str(&format!("  \"{a}\" -> \"{b}\";\n"));
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -505,48 +430,6 @@ mod tests {
         let g = CallGraph::build(&w);
         assert_eq!(g.nodes.len(), 1);
         assert_eq!(g.def(0).qual, "live");
-    }
-
-    #[test]
-    fn tsv_is_sorted_and_stable() {
-        let w = ws(&[("crates/serve/src/a.rs", "fn b() { a(); }\nfn a() {}")]);
-        let g = CallGraph::build(&w);
-        assert_eq!(
-            g.to_tsv(),
-            "crates/serve/src/a.rs\ta\t-\t-\t-\n\
-             crates/serve/src/a.rs\tb\t1\tcrates/serve/src/a.rs\ta\n"
-        );
-        assert!(g.to_dot().contains("\"oa_serve::b\" -> \"oa_serve::a\""));
-    }
-
-    #[test]
-    fn tsv_sorts_by_callee_then_numeric_line() {
-        // Twelve call sites so two-digit lines appear: numeric order
-        // keeps line 7 before line 10 (lexical row sorting would not),
-        // and the single z edge (line 6) sorts after every y edge —
-        // callee-major, line number last.
-        let mut src = String::from("fn z() {}\nfn y() {}\nfn c() {\n");
-        for line in 4..=12 {
-            src.push_str(if line == 6 { "z();\n" } else { "y();\n" });
-        }
-        src.push_str("}\n");
-        let w = ws(&[("crates/serve/src/a.rs", src.as_str())]);
-        let g = CallGraph::build(&w);
-        let tsv = g.to_tsv();
-        let c_rows: Vec<(String, String)> = tsv
-            .lines()
-            .filter(|l| l.starts_with("crates/serve/src/a.rs\tc\t"))
-            .map(|row| {
-                let cols: Vec<&str> = row.split('\t').collect();
-                (cols[2].to_owned(), cols[4].to_owned())
-            })
-            .collect();
-        let expect: Vec<(String, String)> = [4, 5, 7, 8, 9, 10, 11, 12]
-            .iter()
-            .map(|n| (n.to_string(), "y".to_owned()))
-            .chain(std::iter::once(("6".to_owned(), "z".to_owned())))
-            .collect();
-        assert_eq!(c_rows, expect, "{tsv}");
     }
 
     #[test]

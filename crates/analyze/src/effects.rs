@@ -41,7 +41,7 @@ use crate::ast::{CallTarget, Event};
 use crate::callgraph::{CallGraph, TypeEnv};
 use crate::lint::Finding;
 use crate::locks::acquisition_class;
-use crate::reachability::{chain_text, Allowed};
+use crate::reachability::{chain_text, roots_of, Allowed};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// May park the thread indefinitely (socket/channel/condvar waits,
@@ -446,16 +446,11 @@ pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // Rule 1: nothing blocking on the router's nonblocking event loop.
-    let loop_entries: Vec<usize> = graph
-        .find_qual("event_loop")
-        .into_iter()
-        .filter(|&id| graph.file(id).crate_name == "oa_router")
-        .collect();
     reachability_rule(
         graph,
         &eff,
         allowed,
-        &loop_entries,
+        &roots_of(graph, "nonblocking_event_loop"),
         BLOCKS,
         "nonblocking_event_loop",
         "stalls the nonblocking event loop",
@@ -463,20 +458,11 @@ pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
     );
 
     // Rule 2: no allocation in the LANES batch kernels.
-    let mut kernel_entries: Vec<usize> = Vec::new();
-    for qual in ["SymbolicPlan::factor", "SymbolicPlan::solve_gated"] {
-        kernel_entries.extend(
-            graph
-                .find_qual(qual)
-                .into_iter()
-                .filter(|&id| graph.file(id).crate_name == "oa_linalg"),
-        );
-    }
     reachability_rule(
         graph,
         &eff,
         allowed,
-        &kernel_entries,
+        &roots_of(graph, "alloc_free_kernel"),
         ALLOCATES,
         "alloc_free_kernel",
         "allocates in the LANES hot path",

@@ -1,60 +1,35 @@
-//! Engine orchestration: runs a full workspace analysis under either
-//! engine and merges the findings.
+//! Engine orchestration: runs the full workspace analysis and merges
+//! the findings.
 //!
-//! The **token engine** is the original per-file scanner — every rule
-//! in [`crate::lint`] applied file by file, no cross-file knowledge.
-//! The **ast engine** parses every file ([`crate::parser`]), builds the
-//! workspace call graph ([`crate::callgraph`]), and replaces the two
-//! rules whose token forms over- or under-approximate:
+//! Every file is parsed ([`crate::parser`]) into the workspace call
+//! graph ([`crate::callgraph`]), which the whole-program analyses walk:
 //!
-//! * `panic` — token form flags every site in a fixed file list; the
-//!   ast form reports only sites *reachable from a serving entry
-//!   point*, with the call chain ([`crate::reachability`]).
-//! * `unordered_collections` — token form bans `HashMap` mentions in
-//!   serialization crates; the ast form tracks iteration-order taint
-//!   to actual serialization sinks ([`crate::taint`], rule
-//!   `determinism`).
+//! * `panic` — sites *reachable from a serving entry point*, with the
+//!   call chain ([`crate::reachability`]), minus the indexing sites the
+//!   value-range analysis proves in-bounds ([`crate::ranges`]);
+//! * `determinism` — iteration-order taint from `HashMap`/`HashSet`
+//!   to serialization sinks ([`crate::taint`]);
+//! * `lock_order` — lock-acquisition cycles ([`crate::locks`]);
+//! * the effect rules ([`crate::effects`]) and, given the declared
+//!   protocol, the wire rules ([`crate::wire`]).
 //!
-//! All other token rules (`wall_clock`, `float_format`,
-//! `forbid_unsafe`, annotation hygiene) still run under the ast
-//! engine — they are token-shaped properties and the token scanner is
-//! the right tool for them. The ast engine adds `lock_order`
-//! ([`crate::locks`]), which has no token-level counterpart.
+//! The token-shaped rules (`wall_clock`, `float_format`,
+//! `forbid_unsafe`, annotation hygiene) run per file through
+//! [`crate::lint::lint_source`] — they are token-shaped properties and
+//! the token scanner is the right tool for them.
 
 use crate::callgraph::{CallGraph, Workspace};
-use crate::lint::{annotations_of, lint_source, lint_source_scoped, scope_of, Finding};
+use crate::lint::{annotations_of, lint_source, Finding};
 use crate::protocol::ProtocolSpec;
 use crate::ranges::Discharge;
 use crate::reachability::Allowed;
 use crate::{effects, locks, ranges, reachability, taint, wire};
 use std::collections::BTreeSet;
 
-/// Which analysis engine to run. Parsed from `--engine=` by the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Syntax-driven interprocedural engine (default).
-    #[default]
-    Ast,
-    /// Original token-level per-file scanner (fallback).
-    Token,
-}
-
-impl Engine {
-    /// Parses an `--engine=` value.
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "ast" => Some(Engine::Ast),
-            "token" => Some(Engine::Token),
-            _ => None,
-        }
-    }
-}
-
-/// The declared wire protocol handed to the ast engine's wire pass:
-/// the spec's display path (used in findings) and its text, `None`
-/// when the file could not be read. `run_with(.., Some(..))` enables
-/// the pass; the pass is skipped entirely when absent (unit tests,
-/// token engine).
+/// The declared wire protocol handed to the wire pass: the spec's
+/// display path (used in findings) and its text, `None` when the file
+/// could not be read. `run_with(.., Some(..))` enables the pass; the
+/// pass is skipped entirely when absent (unit tests, fixtures).
 #[derive(Debug, Clone)]
 pub struct WireInput {
     /// Display path of the spec file (workspace-relative).
@@ -63,8 +38,8 @@ pub struct WireInput {
     pub text: Option<String>,
 }
 
-/// Wall-clock milliseconds per ast-engine phase, for `--timings` and
-/// `scripts/bench_smoke.sh` (all zero under the token engine).
+/// Wall-clock milliseconds per analysis phase, for `--timings` and
+/// `scripts/bench_smoke.sh`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseTimings {
     /// Parsing plus the token-shaped rules.
@@ -86,66 +61,40 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files analyzed.
     pub files: usize,
-    /// Functions in the call graph (ast engine only; 0 under token).
+    /// Functions in the call graph.
     pub fns: usize,
-    /// Call edges resolved (ast engine only; 0 under token).
+    /// Call edges resolved.
     pub edges: usize,
-    /// Indexing sites the value-range analysis proved in-bounds
-    /// (ast engine only) — printed under `--explain-discharges`.
+    /// Indexing sites the value-range analysis proved in-bounds —
+    /// printed under `--explain-discharges`.
     pub discharged: Vec<Discharge>,
-    /// Per-phase wall-clock timings (ast engine only).
+    /// Per-phase wall-clock timings.
     pub timings: PhaseTimings,
 }
 
-/// Runs the chosen engine over `(path, source)` pairs for the whole
+/// Runs the analysis over `(path, source)` pairs for the whole
 /// workspace. Paths are workspace-relative with forward slashes.
 /// Equivalent to [`run_with`] without a wire spec.
-pub fn run(engine: Engine, inputs: &[(String, String)]) -> Report {
-    run_with(engine, inputs, None)
+pub fn run(inputs: &[(String, String)]) -> Report {
+    run_with(inputs, None)
 }
 
-/// [`run`], optionally with the declared wire protocol: when `wire`
-/// is present the ast engine extracts the wire schema and checks it
-/// against the spec (rules `wire_*`); the token engine ignores it.
-pub fn run_with(engine: Engine, inputs: &[(String, String)], wire: Option<&WireInput>) -> Report {
-    match engine {
-        Engine::Token => run_token(inputs),
-        Engine::Ast => run_ast(inputs, wire),
-    }
-}
-
-fn run_token(inputs: &[(String, String)]) -> Report {
-    let mut findings = Vec::new();
-    for (path, source) in inputs {
-        findings.extend(lint_source(path, source));
-    }
-    findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
-    Report {
-        findings,
-        files: inputs.len(),
-        fns: 0,
-        edges: 0,
-        discharged: Vec::new(),
-        timings: PhaseTimings::default(),
-    }
-}
-
-fn run_ast(inputs: &[(String, String)], wire_input: Option<&WireInput>) -> Report {
+/// [`run`], optionally with the declared wire protocol: when
+/// `wire_input` is present the wire schema is extracted and checked against the
+/// spec (rules `wire_*`).
+pub fn run_with(inputs: &[(String, String)], wire_input: Option<&WireInput>) -> Report {
     let mut timings = PhaseTimings::default();
     // lint: allow(wall_clock, phase timing for --timings, not a response path)
     let t = std::time::Instant::now();
 
-    // Token rules minus the two the interprocedural analyses replace.
-    // Annotation-hygiene findings (`bad_annotation`) come from this
-    // pass; `annotations_of` below is used only for its line map.
+    // Token-shaped rules. Annotation-hygiene findings
+    // (`bad_annotation`) come from this pass; `annotations_of` below is
+    // used only for its line map.
     let ws = Workspace::parse(inputs);
     let mut findings = Vec::new();
     let mut allowed = Allowed::new();
     for (path, source) in inputs {
-        let mut scope = scope_of(path);
-        scope.panic = false;
-        scope.unordered_collections = false;
-        findings.extend(lint_source_scoped(path, source, scope));
+        findings.extend(lint_source(path, source));
         let (rules, _) = annotations_of(path, source);
         allowed.insert(path.clone(), rules);
     }
@@ -215,20 +164,14 @@ mod tests {
     }
 
     #[test]
-    fn ast_engine_skips_unreachable_panic_the_token_engine_flags() {
+    fn ast_engine_skips_unreachable_panic() {
         // An unwrap in a request-path file, but in a function no entry
-        // point reaches: token engine flags it, ast engine does not.
+        // point reaches.
         let files = inputs(&[(
             "crates/serve/src/service.rs",
             "fn offline_tool(v: Option<u8>) -> u8 { v.unwrap() }",
         )]);
-        let token = run(Engine::Token, &files);
-        assert!(
-            token.findings.iter().any(|f| f.rule == "panic"),
-            "{:?}",
-            token.findings
-        );
-        let ast = run(Engine::Ast, &files);
+        let ast = run(&files);
         assert!(
             !ast.findings.iter().any(|f| f.rule == "panic"),
             "{:?}",
@@ -242,7 +185,7 @@ mod tests {
             "crates/serve/src/service.rs",
             "fn f() { let t = std::time::Instant::now(); }",
         )]);
-        let ast = run(Engine::Ast, &files);
+        let ast = run(&files);
         assert!(
             ast.findings.iter().any(|f| f.rule == "wall_clock"),
             "{:?}",
@@ -257,7 +200,7 @@ mod tests {
             "pub struct Service;\n\
              impl Service { pub fn handle_line(&self, v: Option<u8>) -> u8 { v.unwrap() } }",
         )]);
-        let ast = run(Engine::Ast, &files);
+        let ast = run(&files);
         let panics: Vec<_> = ast.findings.iter().filter(|f| f.rule == "panic").collect();
         assert_eq!(panics.len(), 1, "{:?}", ast.findings);
         assert!(panics[0]
@@ -268,16 +211,9 @@ mod tests {
     #[test]
     fn report_counts_are_populated_under_ast() {
         let files = inputs(&[("crates/core/src/lib.rs", "pub fn a() { b(); }\nfn b() {}")]);
-        let r = run(Engine::Ast, &files);
+        let r = run(&files);
         assert_eq!(r.files, 1);
         assert_eq!(r.fns, 2);
         assert_eq!(r.edges, 1);
-    }
-
-    #[test]
-    fn engine_parse_round_trips() {
-        assert_eq!(Engine::parse("ast"), Some(Engine::Ast));
-        assert_eq!(Engine::parse("token"), Some(Engine::Token));
-        assert_eq!(Engine::parse("bogus"), None);
     }
 }

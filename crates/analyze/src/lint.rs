@@ -1,16 +1,19 @@
-//! Workspace-invariant lint rules over the token stream.
+//! Workspace-invariant lint rules over the token stream, the rule
+//! catalogue, and the annotation grammar every rule shares.
 //!
-//! These are the invariants the serving determinism and panic-freedom
-//! contracts (DESIGN.md §7) rely on but `clippy` cannot express,
-//! enforced mechanically instead of by code-review vigilance:
+//! These are the invariants the serving determinism contract
+//! (DESIGN.md §7) relies on but `clippy` cannot express, enforced
+//! mechanically instead of by code-review vigilance:
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `wall_clock` | all workspace code | no `SystemTime` / `Instant::now` — wall-clock must never reach response bytes |
-//! | `unordered_collections` | `oa-serve`, `oa-store` | no `HashMap`/`HashSet` where iteration order could feed serialized output — use `BTreeMap` or sorted vectors |
-//! | `float_format` | `oa-serve`, `oa-store`, `oa-bench` | exponent-format floats in caches/stores/wire encodings only via the exact `{:.17e}` round-trip form |
-//! | `panic` | `oa-serve` request path, `oa-par` pool, `oa-fault` | no `unwrap`/`expect`/slice-indexing without an annotation |
+//! | `float_format` | `oa-serve`, `oa-store`, `oa-router`, `oa-bench` | exponent-format floats in caches/stores/wire encodings only via the exact `{:.17e}` round-trip form |
 //! | `forbid_unsafe` | every crate root | `#![forbid(unsafe_code)]` must be present |
+//!
+//! The other rules of [`RULES`] are whole-program analyses over the
+//! call graph ([`crate::engine`]); they read their waivers through
+//! [`annotations_of`].
 //!
 //! ## Annotation grammar
 //!
@@ -32,11 +35,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifiers of the lint rules (stable names used in annotations).
-/// `lock_order` and `determinism` only fire in the ast engine; their
-/// annotations are legal everywhere so both engines accept one source.
 pub const RULE_NAMES: &[&str] = &[
     "wall_clock",
-    "unordered_collections",
     "float_format",
     "panic",
     "forbid_unsafe",
@@ -69,19 +69,15 @@ pub const RULES: &[RuleInfo] = &[
                       (wall-clock must never influence response bytes)",
     },
     RuleInfo {
-        name: "unordered_collections",
-        description: "no HashMap/HashSet in serialization-adjacent crates (oa-serve, \
-                      oa-store); iteration order must be deterministic",
-    },
-    RuleInfo {
         name: "float_format",
         description: "exponent-format floats in caches/stores/wire encodings must use \
                       the exact {:.17e} round-trip form",
     },
     RuleInfo {
         name: "panic",
-        description: "no unwrap/expect/slice-indexing in the oa-serve request path or \
-                      the oa-par pool without a justifying annotation",
+        description: "no unwrap/expect/panic!/slice-indexing reachable from a serving \
+                      entry point in a hardened crate without a justifying annotation \
+                      (indexing the value-range analysis proves in bounds needs none)",
     },
     RuleInfo {
         name: "forbid_unsafe",
@@ -167,12 +163,8 @@ impl fmt::Display for Finding {
 pub struct Scope {
     /// `wall_clock` applies (all non-vendored workspace code).
     pub wall_clock: bool,
-    /// `unordered_collections` applies.
-    pub unordered_collections: bool,
     /// `float_format` applies.
     pub float_format: bool,
-    /// `panic` applies.
-    pub panic: bool,
     /// `forbid_unsafe` applies (crate roots only).
     pub forbid_unsafe: bool,
 }
@@ -184,32 +176,9 @@ pub fn scope_of(path: &str) -> Scope {
     // The router splices response bytes and renders merged stats, so it
     // sits on the same serialization bar as serve and the store.
     let serialization = in_crate("serve") || in_crate("store") || in_crate("router");
-    // The request path: everything a client request flows through. The
-    // CLI/daemon binaries and the test-only client are excluded — they
-    // are invocation tools, not the serving hot path.
-    let request_path = [
-        "crates/serve/src/service.rs",
-        "crates/serve/src/server.rs",
-        "crates/serve/src/json.rs",
-        "crates/serve/src/lib.rs",
-        "crates/router/src/router.rs",
-        "crates/router/src/frame.rs",
-        "crates/router/src/net.rs",
-        "crates/router/src/ring.rs",
-        "crates/router/src/lib.rs",
-    ]
-    .contains(&path);
     Scope {
         wall_clock: true,
-        unordered_collections: serialization,
         float_format: serialization || in_crate("bench"),
-        // The fault layer sits inside both the store and the serving hot
-        // path, so it inherits the same panic-freedom bar as the pool.
-        // Within oa-par only pool.rs is in scope: `par_map` is offline
-        // bench tooling with a deliberately panic-propagating contract,
-        // so forcing annotations on its index arithmetic was noise —
-        // the ast engine reaches the same conclusion via reachability.
-        panic: request_path || path == "crates/par/src/pool.rs" || in_crate("fault"),
         forbid_unsafe: path.ends_with("src/lib.rs"),
     }
 }
@@ -272,22 +241,6 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
         }
     }
 
-    if scope.unordered_collections {
-        for t in &code {
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                report(
-                    "unordered_collections",
-                    t.line,
-                    format!(
-                        "{} has nondeterministic iteration order; use BTreeMap/BTreeSet \
-                         or sorted vectors in serialization-adjacent code",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-
     if scope.float_format {
         for t in &code {
             if t.kind == TokenKind::Str {
@@ -301,41 +254,6 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
                         ),
                     );
                 }
-            }
-        }
-    }
-
-    if scope.panic {
-        for (k, t) in code.iter().enumerate() {
-            if t.is_punct('.')
-                && code
-                    .get(k + 1)
-                    .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"))
-                && code.get(k + 2).is_some_and(|t| t.is_punct('('))
-            {
-                let callee = code[k + 1];
-                report(
-                    "panic",
-                    callee.line,
-                    format!(".{}() can panic on the request path", callee.text),
-                );
-            }
-            // Index expressions: `[` directly after a value-producing
-            // token (identifier, `)`, or `]`). Attributes (`#[...]`),
-            // array literals/types and macro bangs (`vec![`) are not
-            // preceded by such tokens.
-            if t.is_punct('[')
-                && k > 0
-                && code.get(k - 1).is_some_and(|p| {
-                    p.kind == TokenKind::Ident || p.is_punct(')') || p.is_punct(']')
-                })
-            {
-                report(
-                    "panic",
-                    t.line,
-                    "slice/array indexing can panic on the request path; use .get() or annotate"
-                        .to_owned(),
-                );
             }
         }
     }
@@ -363,7 +281,7 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
     findings
 }
 
-/// Public entry for the ast engine: parses a file's `lint: allow(...)`
+/// Public entry for the whole-program analyses: parses a file's `lint: allow(...)`
 /// annotations. Returns rule → covered lines, plus `bad_annotation`
 /// findings for malformed ones.
 pub fn annotations_of(
@@ -554,9 +472,7 @@ mod tests {
 
     const ALL: Scope = Scope {
         wall_clock: true,
-        unordered_collections: true,
         float_format: true,
-        panic: true,
         forbid_unsafe: false,
     };
 
@@ -599,15 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn unordered_collections_fires_on_hash_map_and_set() {
-        let src = "use std::collections::HashMap; fn f(s: HashSet<u8>) {}";
-        assert_eq!(
-            rules_fired(src),
-            vec!["unordered_collections", "unordered_collections"]
-        );
-    }
-
-    #[test]
     fn float_format_fires_on_non_roundtrip_exponent() {
         let src = r#"fn f(v: f64) -> String { format!("{v:.3e}") }"#;
         let f = lint_source_scoped("fixture.rs", src, ALL);
@@ -623,36 +530,17 @@ mod tests {
     }
 
     #[test]
-    fn panic_fires_on_unwrap_expect_and_indexing() {
-        let src = "fn f(v: Vec<u8>) -> u8 { v.unwrap(); v.expect(\"x\"); v[0] }";
-        assert_eq!(rules_fired(src), vec!["panic", "panic", "panic"]);
-    }
-
-    #[test]
-    fn panic_ignores_unwrap_or_else_and_safe_brackets() {
-        let src = "fn f() { x.unwrap_or_else(|| 0); let a = [0u8; 4]; let v = vec![1]; }";
-        assert!(rules_fired(src).is_empty());
-    }
-
-    #[test]
-    fn panic_annotation_waives_the_site() {
-        let src =
-            "fn f(v: &[u8]) -> u8 {\n    // lint: allow(panic, index proven in range)\n    v[0]\n}";
-        assert!(rules_fired(src).is_empty());
-    }
-
-    #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); Instant::now(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { Instant::now(); }\n}";
         assert!(rules_fired(src).is_empty());
-        let src = "#[test]\nfn t() { x.unwrap(); }";
+        let src = "#[test]\nfn t() { Instant::now(); }";
         assert!(rules_fired(src).is_empty());
     }
 
     #[test]
     fn code_after_test_item_is_linted_again() {
-        let src = "#[cfg(test)]\nmod tests { fn f() {} }\nfn g() { x.unwrap(); }";
-        assert_eq!(rules_fired(src), vec!["panic"]);
+        let src = "#[cfg(test)]\nmod tests { fn f() {} }\nfn g() { Instant::now(); }";
+        assert_eq!(rules_fired(src), vec!["wall_clock"]);
     }
 
     #[test]
@@ -691,18 +579,16 @@ mod tests {
     #[test]
     fn scope_policy_matches_the_table() {
         let s = scope_of("crates/serve/src/service.rs");
-        assert!(s.panic && s.unordered_collections && s.float_format && s.wall_clock);
+        assert!(s.float_format && s.wall_clock);
         assert!(!s.forbid_unsafe);
-        let s = scope_of("crates/serve/src/bin/oa_cli.rs");
-        assert!(!s.panic, "CLI binaries are not the request path");
+        let s = scope_of("crates/router/src/router.rs");
+        assert!(s.float_format, "the router splices response bytes");
         let s = scope_of("crates/par/src/pool.rs");
-        assert!(s.panic && !s.unordered_collections);
-        let s = scope_of("crates/fault/src/plan.rs");
-        assert!(s.panic, "the fault layer runs on the request path");
+        assert!(s.wall_clock && !s.float_format);
         let s = scope_of("crates/sim/src/lib.rs");
-        assert!(s.forbid_unsafe && s.wall_clock && !s.panic);
+        assert!(s.forbid_unsafe && s.wall_clock && !s.float_format);
         let s = scope_of("crates/bench/src/cache.rs");
-        assert!(s.float_format && !s.panic);
+        assert!(s.float_format);
     }
 
     #[test]

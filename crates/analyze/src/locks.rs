@@ -283,18 +283,6 @@ impl LockGraph {
         }
         found.into_iter().collect()
     }
-
-    /// Deterministic text dump of the order graph (one edge per line).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for ((from, to), origin) in &self.edges {
-            out.push_str(&format!(
-                "{from} -> {to}\t{}:{}\t{}\n",
-                origin.file, origin.line, origin.via
-            ));
-        }
-        out
-    }
 }
 
 fn dfs<'a>(

@@ -1,15 +1,13 @@
-//! Panic reachability: the whole-program upgrade of the token-level
-//! `panic` rule.
+//! Panic reachability (rule `panic`).
 //!
-//! The token rule flagged every `unwrap`/`expect`/indexing site in a
-//! fixed file list. This analysis instead asks the question that
-//! actually matters for the serving contract: *can a client request, a
-//! pool job, or a store recovery transitively reach this panic site?*
-//! It BFS-walks the call graph from the [`ENTRY_POINTS`], collects
-//! panic sites in functions of the [`HARDENED_CRATES`], and reports
-//! each un-annotated site together with the full call chain from the
-//! entry point — the chain is the diagnostic's payload; "this can
-//! panic" is only useful if you can see *how* it is reached.
+//! The analysis asks the question that matters for the serving
+//! contract: *can a client request, a pool job, or a store recovery
+//! transitively reach this panic site?* It BFS-walks the call graph
+//! from the `panic` entries of [`ROOTS`], collects panic sites in
+//! functions of the [`HARDENED_CRATES`], and reports each
+//! un-annotated site together with the full call chain from the entry
+//! point — the chain is the diagnostic's payload; "this can panic" is
+//! only useful if you can see *how* it is reached.
 //!
 //! Functions in non-hardened crates (the numeric domain layer:
 //! linalg, sim, core, …) are still *traversed* — a handler calling
@@ -23,14 +21,50 @@ use crate::callgraph::CallGraph;
 use crate::lint::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Qualified names of the functions client work enters through.
-pub const ENTRY_POINTS: &[&str] = &[
-    "Service::handle_line",
-    "connection_loop",
-    "worker_loop",
-    "Store::open_with_faults",
-    "event_loop",
+/// Every function a reachability-driven rule walks the call graph
+/// from, as `(rule, qualified name, crate)`; a `None` crate accepts a
+/// definition in any crate. The `panic` roots are the functions client
+/// work enters through; the effect rules ([`crate::effects`]) read
+/// theirs here too. A root that resolves to nothing silently leaves its
+/// rule checking nothing, so the workspace property test asserts every
+/// root resolves.
+pub const ROOTS: &[(&str, &str, Option<&str>)] = &[
+    ("panic", "Service::handle_line", None),
+    ("panic", "connection_loop", None),
+    ("panic", "worker_loop", None),
+    ("panic", "Store::open_with_faults", None),
+    ("panic", "event_loop", None),
+    ("nonblocking_event_loop", "event_loop", Some("oa_router")),
+    (
+        "alloc_free_kernel",
+        "SymbolicPlan::factor",
+        Some("oa_linalg"),
+    ),
+    (
+        "alloc_free_kernel",
+        "SymbolicPlan::solve_gated",
+        Some("oa_linalg"),
+    ),
 ];
+
+/// The call-graph nodes named `qual`, restricted to lib crate `krate`
+/// when given.
+pub fn resolve_root(graph: &CallGraph<'_>, qual: &str, krate: Option<&str>) -> Vec<usize> {
+    graph
+        .find_qual(qual)
+        .into_iter()
+        .filter(|&id| krate.is_none_or(|k| graph.file(id).crate_name == k))
+        .collect()
+}
+
+/// The resolved nodes of every root of `rule`, in [`ROOTS`] order.
+pub(crate) fn roots_of(graph: &CallGraph<'_>, rule: &str) -> Vec<usize> {
+    ROOTS
+        .iter()
+        .filter(|(r, _, _)| *r == rule)
+        .flat_map(|&(_, qual, krate)| resolve_root(graph, qual, krate))
+        .collect()
+}
 
 /// Lib names of the crates whose panic sites must be annotated when
 /// reachable. `oa_bo`, `oa_gp` and `oa_graph` joined when the session
@@ -74,12 +108,10 @@ pub fn check(
     let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.nodes.len()];
     let mut reached: Vec<bool> = vec![false; graph.nodes.len()];
     let mut queue = std::collections::VecDeque::new();
-    for entry in ENTRY_POINTS {
-        for id in graph.find_qual(entry) {
-            if !reached[id] {
-                reached[id] = true;
-                queue.push_back(id);
-            }
+    for id in roots_of(graph, "panic") {
+        if !reached[id] {
+            reached[id] = true;
+            queue.push_back(id);
         }
     }
     while let Some(id) = queue.pop_front() {

@@ -1,23 +1,17 @@
-//! SARIF 2.1.0 output and baseline snapshots for diff-aware gating.
+//! SARIF 2.1.0 output.
 //!
-//! Two tooling surfaces for the same finding list:
+//! [`to_sarif`] renders a run as a SARIF 2.1.0 log (hand-rolled
+//! std-only JSON) so CI systems and editors can ingest `oa_lint`
+//! results without parsing our text format. One `run` object, the
+//! rule catalogue under `tool.driver.rules`, one `result` per finding
+//! with the full entry→site chain in `message.text`.
 //!
-//! * [`to_sarif`] renders a run as a SARIF 2.1.0 log (hand-rolled
-//!   std-only JSON) so CI systems and editors can ingest `oa_lint`
-//!   results without parsing our text format. One `run` object, the
-//!   rule catalogue under `tool.driver.rules`, one `result` per
-//!   finding with the full entry→site chain in `message.text`.
-//! * [`write_baseline`] / [`parse_baseline`] / [`diff`] implement
-//!   `--baseline`: a committed snapshot of finding *fingerprints*
-//!   lets CI fail only on findings that are new relative to the
-//!   snapshot, so pre-existing debt does not block unrelated PRs.
-//!
-//! Fingerprints are line-number-insensitive: `path|rule|message` with
-//! every `:<digits>` in the message collapsed to `:_`, so pure code
-//! motion (a function shifting down ten lines) does not churn the
-//! baseline. The finding's own `line` field is deliberately excluded
-//! for the same reason. SARIF carries the fingerprint too, under
-//! `partialFingerprints`, so external viewers can do the same dedup.
+//! Each result carries a line-number-insensitive [`fingerprint`] under
+//! `partialFingerprints`: `path|rule|message` with every `:<digits>`
+//! in the message collapsed to `:_`, so pure code motion (a function
+//! shifting down ten lines) keeps a finding's identity and external
+//! viewers can dedup results across runs. The finding's own `line`
+//! field is deliberately excluded for the same reason.
 
 use crate::engine::Report;
 use crate::lint::{Finding, RULES};
@@ -45,37 +39,6 @@ pub fn fingerprint(f: &Finding) -> String {
         }
     }
     format!("{}|{}|{}", f.path, f.rule, msg)
-}
-
-/// Serializes the baseline: one fingerprint per line, sorted and
-/// deduplicated, with a versioned header comment.
-pub fn write_baseline(findings: &[Finding]) -> String {
-    let set: BTreeSet<String> = findings.iter().map(fingerprint).collect();
-    let mut out = String::from("# oa_lint baseline v1 — one fingerprint per line\n");
-    for fp in set {
-        out.push_str(&fp);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a baseline snapshot back into the fingerprint set. Blank
-/// lines and `#` comments are ignored.
-pub fn parse_baseline(text: &str) -> BTreeSet<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect()
-}
-
-/// The findings whose fingerprints are absent from `baseline` — the
-/// ones a diff-aware CI gate should fail on.
-pub fn diff<'a>(findings: &'a [Finding], baseline: &BTreeSet<String>) -> Vec<&'a Finding> {
-    findings
-        .iter()
-        .filter(|f| !baseline.contains(&fingerprint(f)))
-        .collect()
 }
 
 /// Renders a report as a SARIF 2.1.0 log with one run object.
@@ -268,27 +231,5 @@ mod tests {
             "v[0]; reachable from f: f -> g (at a.rs:12)",
         );
         assert_ne!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn baseline_round_trips_and_diffs() {
-        let old = vec![
-            finding("a.rs", 1, "panic", "site one at a.rs:3"),
-            finding("b.rs", 2, "wall_clock", "site two"),
-        ];
-        let text = write_baseline(&old);
-        let set = parse_baseline(&text);
-        assert_eq!(set.len(), 2);
-        // Same findings, different lines: nothing new.
-        let moved = vec![finding("a.rs", 41, "panic", "site one at a.rs:88")];
-        assert!(diff(&moved, &set).is_empty());
-        // A genuinely new finding surfaces.
-        let with_new = vec![
-            finding("a.rs", 41, "panic", "site one at a.rs:88"),
-            finding("c.rs", 5, "panic", "brand new"),
-        ];
-        let new: Vec<_> = diff(&with_new, &set);
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].path, "c.rs");
     }
 }

@@ -6,7 +6,7 @@
 //! an engine change that starts flagging the good twins is rejecting
 //! correct code.
 
-use oa_analyze::engine::{run, Engine, Report};
+use oa_analyze::engine::{run, Report};
 use oa_analyze::lint::Finding;
 
 /// Runs the ast engine on one fixture under a virtual file name, so
@@ -14,7 +14,7 @@ use oa_analyze::lint::Finding;
 /// real workspace.
 fn report_at(path: &str, fixture: &str) -> Report {
     let inputs = vec![(path.to_owned(), fixture.to_owned())];
-    run(Engine::Ast, &inputs)
+    run(&inputs)
 }
 
 /// [`report_at`], keeping only the findings for `rule`.

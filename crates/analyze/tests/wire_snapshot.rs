@@ -27,7 +27,7 @@
 
 use oa_analyze::callgraph::Workspace;
 use oa_analyze::protocol::ProtocolSpec;
-use oa_analyze::wire;
+use oa_analyze::{read_workspace, wire};
 use std::path::{Path, PathBuf};
 
 const SNAPSHOT: &str = "tests/snapshots/wire.tsv";
@@ -129,25 +129,9 @@ fn load_spec() -> ProtocolSpec {
     ProtocolSpec::parse(&text).unwrap()
 }
 
-/// Same file set as `oa_lint`: `crates/*/src/**` only.
+/// Same file set as `oa_lint`.
 fn workspace_inputs() -> Vec<(String, String)> {
-    let root = workspace_root();
-    let mut files = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for krate in crate_dirs {
-        collect_rs(&krate.join("src"), &mut files);
-    }
-    files.sort();
-    files
-        .iter()
-        .map(|p| (relative_to(p, &root), std::fs::read_to_string(p).unwrap()))
-        .collect()
+    read_workspace(&workspace_root()).unwrap()
 }
 
 fn workspace_root() -> PathBuf {
@@ -157,26 +141,4 @@ fn workspace_root() -> PathBuf {
         .parent()
         .unwrap()
         .to_path_buf()
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn relative_to(path: &Path, root: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
 }

@@ -95,7 +95,6 @@ impl Pool {
                 std::thread::Builder::new()
                     .name(format!("oa-par-worker-{i}"))
                     .spawn(move || worker_loop(&receiver, hook.as_deref()))
-                    // lint: allow(panic, thread spawn failure at pool construction is unrecoverable; fail fast before serving)
                     .expect("spawn pool worker")
             })
             .collect();

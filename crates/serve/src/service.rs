@@ -212,7 +212,7 @@ impl Service {
             .into_iter()
             .map(|spec| Evaluator::new(spec).into_handle())
             .collect();
-        // lint: allow(panic, the specs vec is built non-empty two lines up)
+        // Spec::all() is never empty, so handles[0] exists.
         let process_hash = process_fingerprint(handles[0].evaluator());
         Service {
             handles,

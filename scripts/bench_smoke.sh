@@ -9,8 +9,8 @@
 #   2. check the committed BENCH_ac_sweep.json / BENCH_evals_per_sec.json
 #      snapshots still carry the keys the benches emit, so a bench rename
 #      cannot drift away from the recorded numbers unnoticed;
-#   3. run `oa_lint --engine=ast --timings` and assert the stderr timing
-#      line still parses (engine/files/fns/edges/discharged plus the
+#   3. run `oa_lint --timings` and assert the stderr timing
+#      line still parses (files/fns/edges/discharged plus the
 #      per-pass parse_ms/callgraph_ms/ranges_ms/effects_ms/wire_ms and
 #      total elapsed_ms), and that the committed BENCH_lint.json
 #      snapshot carries the same fields.
@@ -74,14 +74,14 @@ check_snapshot BENCH_evals_per_sec.json \
     eval_full_uncached \
     evals_per_sec
 
-echo "running oa_lint --engine=ast --timings (timing-line schema)"
-cargo run -q -p oa-analyze --bin oa_lint -- --engine=ast --timings \
+echo "running oa_lint --timings (timing-line schema)"
+cargo run -q -p oa-analyze --bin oa_lint -- --timings \
     >"$OUT/lint.out" 2>"$OUT/lint.err" || {
     cat "$OUT/lint.out" "$OUT/lint.err" >&2
-    echo "FAIL: oa_lint --engine=ast reported findings or did not run" >&2
+    echo "FAIL: oa_lint reported findings or did not run" >&2
     exit 1
 }
-if ! grep -Eq 'engine=ast files=[0-9]+ fns=[0-9]+ edges=[0-9]+ discharged=[0-9]+ parse_ms=[0-9]+ callgraph_ms=[0-9]+ ranges_ms=[0-9]+ effects_ms=[0-9]+ wire_ms=[0-9]+ elapsed_ms=[0-9]+' "$OUT/lint.err"; then
+if ! grep -Eq 'files=[0-9]+ fns=[0-9]+ edges=[0-9]+ discharged=[0-9]+ parse_ms=[0-9]+ callgraph_ms=[0-9]+ ranges_ms=[0-9]+ effects_ms=[0-9]+ wire_ms=[0-9]+ elapsed_ms=[0-9]+' "$OUT/lint.err"; then
     cat "$OUT/lint.err" >&2
     echo "FAIL: oa_lint --timings stderr line lost its schema" >&2
     exit 1
