@@ -12,8 +12,8 @@
 //! The lint parses every first-party file, builds the workspace call
 //! graph, and runs the interprocedural analyses (panic reachability
 //! with value-range discharge, lock-order cycles, determinism taint,
-//! the effect rules `nonblocking_event_loop` / `alloc_free_kernel` /
-//! `lock_across_blocking`, and the wire-schema conformance rules
+//! the effect rules `alloc_free_kernel` / `lock_across_blocking`, and
+//! the wire-schema conformance rules
 //! `wire_*` against `crates/serve/protocol.spec`) alongside the
 //! token-shaped rules.
 //!

@@ -6,7 +6,7 @@
 //! | effect         | seeded from                                        |
 //! |----------------|----------------------------------------------------|
 //! | `Blocks`       | `thread::sleep`, `connect`, channel `recv`/`send`, |
-//! |                | condvar `wait*`, buffered io on sockets/unknowns   |
+//! |                | condvar `wait*`, io on sockets/unknown receivers   |
 //! | `Allocates`    | `push`/`insert`/`collect`/`to_vec`/…, `format!`,   |
 //! |                | `vec!`, `Box::new`, `with_capacity`                |
 //! | `AcquiresLock` | `Mutex::lock` / `RwLock::read`/`write` (via the    |
@@ -21,23 +21,20 @@
 //! so every diagnostic can print the full entry→site chain.
 //!
 //! `Blocks` deliberately means *may park the thread indefinitely on
-//! external progress*: bounded disk io (`File` writes, `sync_data`)
-//! is `PerformsIo` only, and single-shot `read`/`write`/`accept` are
-//! not `Blocks` because the router's sockets are all constructed
-//! nonblocking (`Conn::new` / `Acceptor::bind`). DESIGN.md §12
-//! records this soundness envelope.
+//! external progress*: io on a socket or an unknown receiver — buffered
+//! or single-shot `read`/`write`/`accept` alike, since every socket in
+//! the workspace is blocking — is `Blocks`, while bounded disk or memory
+//! io (`File` reads and writes, `sync_data`) is `PerformsIo` only.
+//! DESIGN.md §12 records this soundness envelope.
 //!
-//! Three rules consume the inference:
+//! Two rules consume the inference:
 //!
-//! * `nonblocking_event_loop` — no `Blocks` site reachable from the
-//!   `oa_router` `event_loop` entry points (brief lock acquisitions
-//!   are allowed; holding one across a block is rule 3's job);
 //! * `alloc_free_kernel` — no `Allocates` site reachable from the
 //!   `oa_linalg` LANES factor/solve kernels;
 //! * `lock_across_blocking` — no `Blocks` call while a lock guard is
 //!   live (extends the lock analysis' guard-scope walk).
 
-use crate::ast::{CallTarget, Event};
+use crate::ast::{CallTarget, Event, Stmt, StmtPart};
 use crate::callgraph::{CallGraph, TypeEnv};
 use crate::lint::Finding;
 use crate::locks::acquisition_class;
@@ -133,6 +130,7 @@ fn event_effects(
     env: &TypeEnv,
     fn_qual: &str,
     resolved: &BTreeSet<(u32, String)>,
+    stmt: &Stmt,
     ev: &Event,
 ) -> Option<(u32, u8, String)> {
     match ev {
@@ -153,7 +151,8 @@ fn event_effects(
                     if let Some(class) = acquisition_class(graph, env, fn_qual, name, recv) {
                         return Some((line, ACQUIRES_LOCK, format!("acquires lock `{class}`")));
                     }
-                    method_effects(graph, env, name, recv).map(|(bits, what)| (line, bits, what))
+                    let head = receiver_head(graph, env, stmt, recv);
+                    method_effects(name, &head).map(|(bits, what)| (line, bits, what))
                 }
                 CallTarget::Free { path } => {
                     free_effects(path).map(|(bits, what)| (line, bits, what))
@@ -190,8 +189,10 @@ const ALLOC_METHODS: &[&str] = &[
     "split_off",
 ];
 
-/// Buffered io methods that park until the transfer completes.
-const BUFFERED_IO: &[&str] = &[
+/// Io methods that park until the peer makes progress — the buffered
+/// forms until the whole transfer completes, the single-shot ones until
+/// any byte (or connection) arrives.
+const PEER_IO: &[&str] = &[
     "read_exact",
     "read_to_end",
     "read_to_string",
@@ -199,10 +200,13 @@ const BUFFERED_IO: &[&str] = &[
     "write_all",
     "write_fmt",
     "flush",
+    "read",
+    "write",
+    "accept",
 ];
 
-/// Receiver type heads whose buffered io is bounded by local work
-/// (disk or memory), not by a remote peer. `OpenOptions` appears as a
+/// Receiver type heads whose io is bounded by local work (disk or
+/// memory), not by a remote peer. `OpenOptions` appears as a
 /// chain head for locals bound via the builder (`let f = OpenOptions::
 /// new()…open(p)?`), whose product is a `File`.
 const BOUNDED_IO_TYPES: &[&str] = &[
@@ -216,12 +220,28 @@ const BOUNDED_IO_TYPES: &[&str] = &[
     "Cursor",
 ];
 
-fn method_effects(
-    graph: &CallGraph<'_>,
-    env: &TypeEnv,
-    name: &str,
-    recv: &str,
-) -> Option<(u8, String)> {
+/// The type head a method call's receiver chain starts from: the
+/// resolved receiver, or — for a receiver the parser cannot name, such
+/// as the builder chain `OpenOptions::new().read(true)` — the type of
+/// the path call that opens the statement. Empty when unknown.
+fn receiver_head(graph: &CallGraph<'_>, env: &TypeEnv, stmt: &Stmt, recv: &str) -> String {
+    if let Some(ty) = graph.resolve_chain(env, recv) {
+        return crate::ast::deref_head(&ty);
+    }
+    if !recv.is_empty() {
+        return String::new();
+    }
+    let first_call = stmt.parts.iter().find_map(|part| match part {
+        StmtPart::Event(Event::Call(call)) => Some(&call.target),
+        _ => None,
+    });
+    match first_call {
+        Some(CallTarget::Free { path }) if path.len() >= 2 => path[path.len() - 2].clone(),
+        _ => String::new(),
+    }
+}
+
+fn method_effects(name: &str, head: &str) -> Option<(u8, String)> {
     match name {
         "recv" | "recv_timeout" | "wait" | "wait_timeout" | "wait_while" => Some((
             BLOCKS,
@@ -231,12 +251,8 @@ fn method_effects(
             BLOCKS,
             ".send() parks when a bounded channel is full".to_owned(),
         )),
-        _ if BUFFERED_IO.contains(&name) => {
-            let head = graph
-                .resolve_chain(env, recv)
-                .map(|ty| crate::ast::deref_head(&ty))
-                .unwrap_or_default();
-            if BOUNDED_IO_TYPES.contains(&head.as_str()) {
+        _ if PEER_IO.contains(&name) => {
+            if BOUNDED_IO_TYPES.contains(&head) {
                 Some((PERFORMS_IO, format!(".{name}() on {head} (bounded io)")))
             } else {
                 Some((
@@ -245,7 +261,6 @@ fn method_effects(
                 ))
             }
         }
-        "read" | "write" | "accept" => Some((PERFORMS_IO, format!(".{name}() single-shot io"))),
         "sync_all" | "sync_data" => Some((PERFORMS_IO, format!(".{name}() flushes to disk"))),
         "elapsed" => Some((WALL_CLOCK, ".elapsed() reads the wall clock".to_owned())),
         "unwrap" | "expect" => Some((PANICS, format!(".{name}() can panic"))),
@@ -309,8 +324,10 @@ pub fn infer(graph: &CallGraph<'_>) -> Effects {
         let Some(body) = &def.body else { continue };
         let env = graph.type_env(id);
         let resolved = resolved_call_names(graph, id);
-        body.walk(&mut |_s, ev| {
-            if let Some((line, bits, what)) = event_effects(graph, &env, &def.qual, &resolved, ev) {
+        body.walk(&mut |stmt, ev| {
+            if let Some((line, bits, what)) =
+                event_effects(graph, &env, &def.qual, &resolved, stmt, ev)
+            {
                 eff.direct_sites[id].push((line, bits, what.clone()));
                 eff.sets[id] |= bits;
                 for (i, (bit, _)) in BITS.iter().enumerate() {
@@ -440,24 +457,12 @@ fn reachability_rule(
     }
 }
 
-/// Runs the three effect rules; `allowed` is the annotation map.
+/// Runs the two effect rules; `allowed` is the annotation map.
 pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
     let eff = infer(graph);
     let mut findings = Vec::new();
 
-    // Rule 1: nothing blocking on the router's nonblocking event loop.
-    reachability_rule(
-        graph,
-        &eff,
-        allowed,
-        &roots_of(graph, "nonblocking_event_loop"),
-        BLOCKS,
-        "nonblocking_event_loop",
-        "stalls the nonblocking event loop",
-        &mut findings,
-    );
-
-    // Rule 2: no allocation in the LANES batch kernels.
+    // Rule 1: no allocation in the LANES batch kernels.
     reachability_rule(
         graph,
         &eff,
@@ -469,7 +474,7 @@ pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
         &mut findings,
     );
 
-    // Rule 3: nothing blocking while a lock guard is live.
+    // Rule 2: nothing blocking while a lock guard is live.
     check_lock_across_blocking(graph, &eff, allowed, &mut findings);
 
     findings
@@ -579,7 +584,7 @@ fn walk_blocking(
                     }
                     // Direct blocking operation while a guard is live.
                     if let Some((line, bits, what)) =
-                        event_effects(ctx.graph, &ctx.env, &ctx.fn_qual, &ctx.resolved, ev)
+                        event_effects(ctx.graph, &ctx.env, &ctx.fn_qual, &ctx.resolved, stmt, ev)
                     {
                         if bits & BLOCKS != 0 {
                             report_blocking(ctx, line, what, held, None);
@@ -645,47 +650,6 @@ mod tests {
             allowed.insert(path.clone(), rules);
         }
         check(&graph, &allowed)
-    }
-
-    #[test]
-    fn blocking_call_reachable_from_event_loop_is_flagged_with_chain() {
-        let f = run(&[(
-            "crates/router/src/router.rs",
-            r#"
-            pub fn event_loop() { helper(); }
-            fn helper() { std::thread::sleep(d); }
-            "#,
-        )]);
-        let blocking: Vec<&Finding> = f
-            .iter()
-            .filter(|f| f.rule == "nonblocking_event_loop")
-            .collect();
-        assert_eq!(blocking.len(), 1, "{f:?}");
-        assert!(
-            blocking[0].message.contains(
-                "thread::sleep parks the thread — stalls the nonblocking event loop; \
-                 reachable from event_loop: event_loop -> helper (at router.rs:2)"
-            ),
-            "{}",
-            blocking[0].message
-        );
-    }
-
-    #[test]
-    fn annotated_blocking_site_is_whitelisted() {
-        let f = run(&[(
-            "crates/router/src/router.rs",
-            r#"
-            pub fn event_loop() {
-                // lint: allow(nonblocking_event_loop, bounded idle pacing)
-                std::thread::sleep(d);
-            }
-            "#,
-        )]);
-        assert!(
-            f.iter().all(|f| f.rule != "nonblocking_event_loop"),
-            "{f:?}"
-        );
     }
 
     #[test]

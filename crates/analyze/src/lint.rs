@@ -42,7 +42,6 @@ pub const RULE_NAMES: &[&str] = &[
     "forbid_unsafe",
     "lock_order",
     "determinism",
-    "nonblocking_event_loop",
     "alloc_free_kernel",
     "lock_across_blocking",
     "wire_undeclared",
@@ -92,11 +91,6 @@ pub const RULES: &[RuleInfo] = &[
         name: "determinism",
         description: "no dataflow from HashMap/HashSet iteration to serialization \
                       sinks (ast engine; annotation at source or sink waives the flow)",
-    },
-    RuleInfo {
-        name: "nonblocking_event_loop",
-        description: "no Blocks-effect site reachable from the oa-router event loop \
-                      (ast engine, effect inference; annotation whitelists one site)",
     },
     RuleInfo {
         name: "alloc_free_kernel",

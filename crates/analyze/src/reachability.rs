@@ -24,8 +24,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Every function a reachability-driven rule walks the call graph
 /// from, as `(rule, qualified name, crate)`; a `None` crate accepts a
 /// definition in any crate. The `panic` roots are the functions client
-/// work enters through; the effect rules ([`crate::effects`]) read
-/// theirs here too. A root that resolves to nothing silently leaves its
+/// work enters through — the serve handler, connection loop and pool
+/// worker, store recovery, and the router's thread entry functions; the
+/// effect rules ([`crate::effects`]) read theirs here too. A root that resolves to nothing silently leaves its
 /// rule checking nothing, so the workspace property test asserts every
 /// root resolves.
 pub const ROOTS: &[(&str, &str, Option<&str>)] = &[
@@ -33,8 +34,10 @@ pub const ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("panic", "connection_loop", None),
     ("panic", "worker_loop", None),
     ("panic", "Store::open_with_faults", None),
-    ("panic", "event_loop", None),
-    ("nonblocking_event_loop", "event_loop", Some("oa_router")),
+    ("panic", "accept_loop", Some("oa_router")),
+    ("panic", "client_loop", Some("oa_router")),
+    ("panic", "link_loop", Some("oa_router")),
+    ("panic", "Outbound::write_loop", Some("oa_router")),
     (
         "alloc_free_kernel",
         "SymbolicPlan::factor",

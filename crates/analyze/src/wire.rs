@@ -8,9 +8,10 @@
 //!   string constants). Identifier reads everywhere else resolve
 //!   through this table, so renaming a constant moves every dependent
 //!   row with it.
-//! * **`op-emit`** — the ops `Service::handle_line` dispatches on:
-//!   inside the match over `request.get("op")`, every arm with a
-//!   `Some(…)` pattern contributes its string literal.
+//! * **`op-emit`** — the ops `Service::stage` (the cheap stage of
+//!   `Service::handle_line`) dispatches on: inside the match over
+//!   `request.get("op")`, every arm with a `Some(…)` pattern
+//!   contributes its string literal.
 //! * **`op-request`** — the ops the client builders issue: a string
 //!   literal `"op"` immediately followed by another wire-shaped
 //!   literal in the same statement of `serve/src/client.rs`.
@@ -58,7 +59,11 @@ pub struct WireSite {
     pub detail: String,
     /// Workspace-relative file path.
     pub path: String,
-    /// 1-based source line.
+    /// The item holding the site: the enclosing function's qualified
+    /// name, or the constant's name for `const` rows.
+    pub item: String,
+    /// 1-based source line (diagnostics only; the snapshot pins sites
+    /// by path and item, so edits elsewhere in a file do not move it).
     pub line: u32,
 }
 
@@ -181,6 +186,7 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                 name: cs.value.clone(),
                 detail: cs.name.clone(),
                 path: file.path.clone(),
+                item: cs.name.clone(),
                 line: cs.line,
             });
         }
@@ -194,7 +200,7 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
             let Some(body) = &def.body else { continue };
 
             // op-emit: the serve dispatch match.
-            if def.qual == "Service::handle_line" && file.path.ends_with("serve/src/service.rs") {
+            if def.qual == "Service::stage" && file.path.ends_with("serve/src/service.rs") {
                 for stmt in &body.stmts {
                     let is_dispatch = direct_strs(stmt).iter().any(|(_, s)| *s == "op")
                         && stmt.parts.iter().any(|p| matches!(p, StmtPart::Block(_)));
@@ -209,7 +215,9 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                             }
                             for (line, s) in direct_strs(arm) {
                                 if is_wire_token(s) {
-                                    push(&mut sites, "op-emit", s, &def.qual, file, line);
+                                    push(
+                                        &mut sites, "op-emit", s, &def.qual, file, &def.qual, line,
+                                    );
                                 }
                             }
                         });
@@ -223,7 +231,15 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                     let strs = direct_strs(stmt);
                     for w in strs.windows(2) {
                         if w[0].1 == "op" && is_wire_token(w[1].1) {
-                            push(&mut sites, "op-request", w[1].1, &def.qual, file, w[0].0);
+                            push(
+                                &mut sites,
+                                "op-request",
+                                w[1].1,
+                                &def.qual,
+                                file,
+                                &def.qual,
+                                w[0].0,
+                            );
                         }
                     }
                 });
@@ -240,7 +256,15 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                     let Some(class) = class else { return };
                     for (line, s) in direct_strs(stmt) {
                         if is_wire_token(s) {
-                            push(&mut sites, "op-route", s, &class.to_lowercase(), file, line);
+                            push(
+                                &mut sites,
+                                "op-route",
+                                s,
+                                &class.to_lowercase(),
+                                file,
+                                &def.qual,
+                                line,
+                            );
                         }
                     }
                 });
@@ -251,7 +275,9 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
             each_stmt(body, &mut |stmt| {
                 for r in &stmt.reads {
                     if let Some(value) = const_map.get(r.as_str()) {
-                        push(&mut sites, section, value, &def.qual, file, stmt.line);
+                        push(
+                            &mut sites, section, value, &def.qual, file, &def.qual, stmt.line,
+                        );
                     }
                 }
             });
@@ -262,7 +288,7 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                 each_stmt(body, &mut |stmt| {
                     for (line, s) in direct_strs(stmt) {
                         if is_wire_token(s) {
-                            push(&mut sites, "kind-emit", s, &def.qual, file, line);
+                            push(&mut sites, "kind-emit", s, &def.qual, file, &def.qual, line);
                         }
                     }
                 });
@@ -275,7 +301,7 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                 each_stmt(body, &mut |stmt| {
                     for (line, s) in direct_strs(stmt) {
                         if is_wire_token(s) {
-                            push(&mut sites, "fields", s, &def.qual, file, line);
+                            push(&mut sites, "fields", s, &def.qual, file, &def.qual, line);
                         }
                     }
                 });
@@ -293,6 +319,7 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
                                 &fields.join(","),
                                 &def.qual,
                                 file,
+                                &def.qual,
                                 line,
                             );
                         }
@@ -307,12 +334,15 @@ pub fn extract(ws: &Workspace) -> Vec<WireSite> {
     sites
 }
 
+/// Records one site found in the body of the function `item`.
+#[allow(clippy::too_many_arguments)]
 fn push(
     sites: &mut Vec<WireSite>,
     section: &'static str,
     name: &str,
     detail: &str,
     file: &SourceFile,
+    item: &str,
     line: u32,
 ) {
     sites.push(WireSite {
@@ -320,20 +350,28 @@ fn push(
         name: name.to_owned(),
         detail: detail.to_owned(),
         path: file.path.clone(),
+        item: item.to_owned(),
         line,
     });
 }
 
 /// Renders the catalogue as a TSV document — the snapshot format
-/// committed under `crates/analyze/tests/snapshots/wire.tsv`.
+/// committed under `crates/analyze/tests/snapshots/wire.tsv`. A site is
+/// pinned as `path::item` rather than by line, so the snapshot moves
+/// only when an emitter moves between items; sites that differ only by
+/// line collapse into one row.
 pub fn render_tsv(sites: &[WireSite]) -> String {
+    let rows: BTreeSet<String> = sites
+        .iter()
+        .map(|s| {
+            format!(
+                "{}\t{}\t{}\t{}::{}\n",
+                s.section, s.name, s.detail, s.path, s.item
+            )
+        })
+        .collect();
     let mut out = String::from("# section\tname\tdetail\tsite\n");
-    for s in sites {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}:{}\n",
-            s.section, s.name, s.detail, s.path, s.line
-        ));
-    }
+    out.extend(rows);
     out
 }
 
@@ -498,7 +536,7 @@ pub const OVERLOADED: &str = \"overloaded\";
     const SERVICE_RS: &str = "\
 pub struct Service;
 impl Service {
-    pub fn handle_line(&self, request: &Json) -> String {
+    pub fn stage(&self, request: &Json) -> String {
         let outcome = match request.get(\"op\").and_then(Json::as_str) {
             Some(\"eval\") => self.op_eval(request),
             Some(\"open_session\") => self.op_open(request),
@@ -679,6 +717,42 @@ fn shed() -> String {
         let mut sorted = body.clone();
         sorted.sort_unstable();
         assert_eq!(body, sorted, "rows must be sorted");
+    }
+
+    #[test]
+    fn tsv_pins_sites_by_item_not_line() {
+        let before = render_tsv(&extract(&workspace()));
+        // Shift every line of the service file and emit the same kind
+        // twice more in the same function.
+        let service = format!(
+            "\n\n{}",
+            SERVICE_RS.replace(
+                "typed(INJECTED)",
+                "typed(INJECTED);\n        typed(INJECTED)"
+            )
+        );
+        let shifted = Workspace::parse(&[
+            (
+                "crates/serve/src/wire_kinds.rs".to_owned(),
+                KINDS_RS.to_owned(),
+            ),
+            ("crates/serve/src/service.rs".to_owned(), service),
+            (
+                "crates/serve/src/client.rs".to_owned(),
+                CLIENT_RS.to_owned(),
+            ),
+            (
+                "crates/router/src/router.rs".to_owned(),
+                ROUTER_RS.to_owned(),
+            ),
+        ]);
+        assert_eq!(render_tsv(&extract(&shifted)), before);
+        assert!(
+            before.contains(
+                "kind-emit\tinjected\tService::fail\tcrates/serve/src/service.rs::Service::fail\n"
+            ),
+            "{before}"
+        );
     }
 
     #[test]

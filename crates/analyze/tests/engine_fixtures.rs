@@ -38,8 +38,8 @@ const LOCKS_BAD: &str = include_str!("fixtures/locks_bad.rs");
 const LOCKS_GOOD: &str = include_str!("fixtures/locks_good.rs");
 const TAINT_BAD: &str = include_str!("fixtures/taint_bad.rs");
 const TAINT_GOOD: &str = include_str!("fixtures/taint_good.rs");
-const BLOCKING_BAD: &str = include_str!("fixtures/blocking_bad.rs");
-const BLOCKING_GOOD: &str = include_str!("fixtures/blocking_good.rs");
+const IO_LOCK_BAD: &str = include_str!("fixtures/io_lock_bad.rs");
+const IO_LOCK_GOOD: &str = include_str!("fixtures/io_lock_good.rs");
 const ALLOC_BAD: &str = include_str!("fixtures/alloc_bad.rs");
 const ALLOC_GOOD: &str = include_str!("fixtures/alloc_good.rs");
 const RANGE_BAD: &str = include_str!("fixtures/range_bad.rs");
@@ -116,46 +116,30 @@ fn taint_good_twin_is_silent() {
 }
 
 #[test]
-fn blocking_fixture_fires_on_both_blocking_sites_with_chains() {
+fn io_lock_fixture_flags_the_socket_read_under_the_guard() {
     let f = findings_at(
-        "nonblocking_event_loop",
-        "crates/router/src/router.rs",
-        BLOCKING_BAD,
+        "lock_across_blocking",
+        "crates/router/src/net.rs",
+        IO_LOCK_BAD,
     );
-    assert_eq!(f.len(), 2, "{f:#?}");
-    let recv = f
-        .iter()
-        .find(|x| x.message.contains(".recv() parks"))
-        .unwrap();
-    assert_eq!(recv.line, 12, "{recv:#?}");
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert_eq!(f[0].line, 15, "{f:#?}");
     assert!(
-        recv.message
-            .contains("stalls the nonblocking event loop; reachable from event_loop: event_loop"),
+        f[0].message.contains(
+            ".read() parks until the peer makes progress may block while holding \
+             lock(s) {Link.routes} in Link::pump"
+        ),
         "{}",
-        recv.message
+        f[0].message
     );
-    let sleep = f
-        .iter()
-        .find(|x| x.message.contains("thread::sleep parks the thread"))
-        .unwrap();
-    assert_eq!(sleep.line, 23, "{sleep:#?}");
-    assert!(
-        sleep
-            .message
-            .contains("event_loop -> dispatch (at router.rs:13) -> settle (at router.rs:18)"),
-        "{}",
-        sleep.message
-    );
-    // offline_reconnect sleeps too (line 28), but nothing reaches it.
-    assert!(f.iter().all(|x| x.line != 28), "{f:#?}");
 }
 
 #[test]
-fn blocking_good_twin_is_silent() {
+fn io_lock_good_twin_is_silent() {
     let f = findings_at(
-        "nonblocking_event_loop",
-        "crates/router/src/router.rs",
-        BLOCKING_GOOD,
+        "lock_across_blocking",
+        "crates/router/src/net.rs",
+        IO_LOCK_GOOD,
     );
     assert!(f.is_empty(), "{f:#?}");
 }

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex};
 /// Where in the stack a fault can be injected.
 ///
 /// Each site corresponds to one instrumented operation in `oa-store`,
-/// `oa-serve` or `oa-par`; the site a decision was made for is part of
-/// the recorded trace.
+/// `oa-serve` or `oa-router`; the site a decision was made for is part
+/// of the recorded trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Site {
     /// `oa-store::Store::put` — the record append (torn/short write).
@@ -24,8 +24,9 @@ pub enum Site {
     /// `oa-serve` response writer — one encoded response frame
     /// (mid-frame disconnect).
     ConnWrite,
-    /// `oa-par::Pool` — immediately before a worker runs a job
-    /// (worker-panic injection).
+    /// `oa-serve` connection loop — once per request, drawn on the
+    /// connection thread before any work (a worker dying mid-request:
+    /// a `Panic` decision leaves the request unanswered).
     WorkerJob,
     /// `oa-serve` `eval_batch` — one item of a batch (typed per-item
     /// evaluation error).
@@ -35,7 +36,9 @@ pub enum Site {
     /// forces the failover path: mark down, re-dispatch, reconnect).
     ShardDrop,
     /// `oa-router` response writer — one response frame to a client
-    /// (stalled write; the event loop pays the latency).
+    /// (stalled write: decided under the routing lock, slept by the
+    /// deciding thread after it releases the lock, before the frame is
+    /// handed to the client's writer).
     RouterWrite,
     /// `oa-serve` session `step` — decided at the top of the handler,
     /// before any session state mutates, so a failed step is
@@ -445,7 +448,7 @@ fn scramble(seed: u64) -> u64 {
 }
 
 /// The shareable injection handle threaded through `oa-store`,
-/// `oa-serve` and `oa-par`.
+/// `oa-serve` and `oa-router`.
 ///
 /// [`Faults::none`] (and `Default`) is the disabled handle: every
 /// [`Faults::decide`] returns [`Decision::Pass`] after a single `None`

@@ -22,7 +22,7 @@
 
 mod pool;
 
-pub use pool::{JobHook, Pool, PoolError};
+pub use pool::{Pool, PoolError};
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

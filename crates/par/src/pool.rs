@@ -15,14 +15,6 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A hook every worker runs immediately before each job, *inside* the
-/// panic containment: a hook that panics aborts that one job (its
-/// closure never runs) and the worker survives. The fault-injection
-/// harness uses this to model a worker dying mid-request — the response
-/// is simply never produced, exactly like a real panic between dequeue
-/// and reply.
-pub type JobHook = Arc<dyn Fn() + Send + Sync>;
-
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolError {
@@ -80,21 +72,14 @@ impl Pool {
     /// Creates a pool with `workers` threads (at least 1) and a queue
     /// holding up to `queue` pending jobs (at least 1).
     pub fn new(workers: usize, queue: usize) -> Pool {
-        Self::with_hook(workers, queue, None)
-    }
-
-    /// Like [`Pool::new`], plus an optional [`JobHook`] run before every
-    /// job inside the worker's panic containment.
-    pub fn with_hook(workers: usize, queue: usize, hook: Option<JobHook>) -> Pool {
         let (sender, receiver) = std::sync::mpsc::sync_channel::<Job>(queue.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..workers.max(1))
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
-                let hook = hook.clone();
                 std::thread::Builder::new()
                     .name(format!("oa-par-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver, hook.as_deref()))
+                    .spawn(move || worker_loop(&receiver))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -154,7 +139,7 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<Job>>, hook: Option<&(dyn Fn() + Send + Sync)>) {
+fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
     loop {
         // Hold the lock only for the dequeue, never while running a job.
         let job = match receiver.lock() {
@@ -165,14 +150,8 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, hook: Option<&(dyn Fn() + Send +
         };
         match job {
             Ok(job) => {
-                // Contain per-job panics (from the hook or the job); the
-                // worker lives on. A panicking hook skips its job.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(hook) = hook {
-                        hook();
-                    }
-                    job();
-                }));
+                // Contain per-job panics; the worker lives on.
+                let _ = catch_unwind(AssertUnwindSafe(job));
             }
             Err(_) => break,
         }
@@ -246,59 +225,6 @@ mod tests {
         assert!(saw_full, "bounded queue never reported full");
         gate.store(1, Ordering::SeqCst);
         drop(pool);
-    }
-
-    #[test]
-    fn hook_runs_before_every_job() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let hooked = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hooked);
-        let pool = Pool::with_hook(
-            2,
-            8,
-            Some(Arc::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            })),
-        );
-        for _ in 0..12 {
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 12);
-        assert_eq!(hooked.load(Ordering::SeqCst), 12);
-    }
-
-    #[test]
-    fn panicking_hook_skips_the_job_but_not_the_worker() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        // Every third hook invocation panics; that job must be skipped
-        // while the rest run to completion on surviving workers.
-        let pool = Pool::with_hook(
-            1,
-            16,
-            Some(Arc::new(move || {
-                if c.fetch_add(1, Ordering::SeqCst) % 3 == 2 {
-                    panic!("injected worker panic");
-                }
-            })),
-        );
-        for _ in 0..9 {
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
-        drop(pool);
-        // 9 jobs, hook panicked on invocations 2,5,8: 6 jobs ran.
-        assert_eq!(calls.load(Ordering::SeqCst), 9);
-        assert_eq!(ran.load(Ordering::SeqCst), 6);
     }
 
     #[test]

@@ -149,7 +149,6 @@ fn main() {
         vnodes,
         max_inflight,
         max_resend: 8,
-        reconnect_sweeps: 64,
         faults,
     };
     match start(config) {

@@ -17,7 +17,7 @@
 //! On replay: the fault *schedule* is a pure function of the seed, and
 //! the trial reports its decision-trace hash for forensics. Unlike the
 //! single-node serve trial, the hash is not asserted equal across runs —
-//! a real process kill races the event loop's EOF detection, so the
+//! a real process kill races the link thread's EOF detection, so the
 //! *number* of decisions consulted can differ run to run even though
 //! every decision sequence is seed-determined. The bar that matters —
 //! and the one asserted — is byte-identity of what clients saw.
@@ -142,7 +142,7 @@ pub fn router_trial(dir: &Path, seed: u64) -> io::Result<RouterTrial> {
 /// [`router_trial`] with the mid-corpus shard kill made optional.
 ///
 /// With `kill: false` the trial is the pure router storm — no process
-/// death, so the event loop consults the fault schedule the same number
+/// death, so the router consults the fault schedule the same number
 /// of times every run and `trace_hash` *is* a cross-run invariant
 /// (asserted in tests; the kill variant only gets byte-identity, see
 /// the module docs).
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn no_kill_trial_trace_hash_is_a_cross_run_invariant() {
-        // Without a process kill there is no EOF race: the event loop
+        // Without a process kill there is no EOF race: the router
         // consults the schedule identically every run, so the decision
         // trace (not just the bytes) must replay.
         let dir_a = temp_dir("nokill_a");

@@ -6,10 +6,10 @@
 //! design space shards cleanly by topology id, so placement is a
 //! consistent-hash ring over topology codes ([`HashRing`]): deterministic,
 //! balanced, minimal movement when the fleet grows, introspectable via
-//! the `shard_map` op. The coordinator itself is a std-only nonblocking
-//! event loop ([`net`], one thread for the whole fabric front-end) with
-//! per-connection frame reassembly, so idle clients cost buffers, not
-//! threads.
+//! the `shard_map` op. The coordinator runs blocking std sockets with a
+//! thread per connection ([`net`]): a reader per client and per shard
+//! link, and a writer per client, so a frame is routed the moment it
+//! arrives and an idle connection costs a parked thread, not a poll.
 //!
 //! What the fabric guarantees (DESIGN.md §11):
 //!
@@ -58,4 +58,4 @@ mod router;
 
 pub use fabric::Fabric;
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{event_loop, start, Router, RouterConfig, RouterState};
+pub use router::{start, Router, RouterConfig};

@@ -1,327 +1,333 @@
-//! `oa_net`: std-only nonblocking sockets for the router's event loop.
+//! `oa_net`: the router's blocking socket halves.
 //!
-//! The workspace forbids `unsafe` in every crate, which rules out raw
-//! `epoll`/`kqueue` FFI; instead the event loop runs a *sweep poller*:
-//! every socket is `set_nonblocking(true)` and each iteration drains
-//! reads and flushes writes until `WouldBlock`, then an [`IdleBackoff`]
-//! sleeps the loop when nothing moved (100 µs escalating to 5 ms). Idle
-//! connections therefore cost one failed `read` per sweep and no thread
-//! — the "~100k idle clients, no threads" budget — at the price of sweep
-//! latency instead of kernel wakeups. The `Conn` buffer discipline
-//! (frame reassembly, bounded buffers) is poller-agnostic, so swapping
-//! in a readiness syscall later only touches the loop, not the framing.
+//! Every router connection — client or shard link — is a blocking
+//! socket with a thread parked in `read` on it, so a frame is handled
+//! the moment it arrives and an idle connection costs a sleeping thread
+//! instead of a poll. The read half is a `FrameReader`; the write half
+//! is an `Outbound` queue, which never writes while holding its lock.
 //!
-//! Frames are newline-delimited; a partial frame stays in `rbuf` until
-//! its newline arrives. Read frames are capped at [`MAX_FRAME`] and the
-//! pending write buffer at [`MAX_WRITE_BUFFER`]; a peer exceeding either
-//! is dropped (slow-consumer / oversized-frame protection).
+//! Frames are newline-delimited; a partial frame stays in the reader's
+//! buffer until its newline arrives. Read frames are capped at
+//! [`MAX_FRAME`] and a connection's unsent bytes at [`MAX_WRITE_BUFFER`];
+//! a peer exceeding either is dropped (oversized-frame and
+//! slow-consumer protection).
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Hard cap on one request/response frame (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Hard cap on unflushed response bytes per connection (8 MiB); beyond
-/// it the peer is considered a non-consuming client and dropped.
+/// Hard cap on unsent bytes per connection (8 MiB); beyond it the peer
+/// is considered a non-consuming client and dropped.
 pub const MAX_WRITE_BUFFER: usize = 8 << 20;
 
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// What a sweep over one connection produced.
-#[derive(Debug, Default)]
-pub struct SweepOutcome {
-    /// Complete frames (newline stripped) read this sweep.
-    pub frames: Vec<String>,
-    /// The connection is finished (EOF, error, or protocol violation)
-    /// and must be discarded by the caller.
-    pub closed: bool,
-    /// Any bytes moved in either direction (drives the idle backoff).
-    pub progressed: bool,
+/// Bound on one shard dial, so a blackholed backend cannot hold its
+/// link thread (and therefore [`crate::Router::shutdown`]) for the
+/// kernel's connect timeout.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Dials `addr_text` (fresh resolution via [`oa_serve::resolve`]), with
+/// Nagle off: every write is one whole frame.
+///
+/// # Errors
+///
+/// Resolution or connection failures (the last one when several
+/// addresses resolve).
+pub(crate) fn dial(addr_text: &str) -> std::io::Result<TcpStream> {
+    let mut last = None;
+    for addr in oa_serve::resolve(addr_text)? {
+        match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| std::io::Error::other("no address to dial")))
 }
 
-/// One nonblocking connection: the stream plus read-reassembly and
-/// write-spool buffers.
+/// The read half of a connection: blocking reads reassembled into
+/// frames.
 #[derive(Debug)]
-pub struct Conn {
+pub(crate) struct FrameReader {
     stream: TcpStream,
     rbuf: Vec<u8>,
-    wbuf: VecDeque<u8>,
 }
 
-impl Conn {
-    /// Wraps an accepted or dialed stream, switching it to nonblocking.
-    ///
-    /// # Errors
-    ///
-    /// Socket option failures.
-    pub fn new(stream: TcpStream) -> std::io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Conn {
+impl FrameReader {
+    /// Wraps the read half of a stream.
+    pub(crate) fn new(stream: TcpStream) -> FrameReader {
+        FrameReader {
             stream,
             rbuf: Vec::new(),
-            wbuf: VecDeque::new(),
-        })
-    }
-
-    /// Dials `addr` (fresh resolution via [`oa_serve::resolve`]) and
-    /// wraps the stream. The connect itself is blocking — shard dials
-    /// are loopback/LAN and paced by the caller's reconnect backoff —
-    /// but the returned connection is nonblocking.
-    ///
-    /// # Errors
-    ///
-    /// Resolution or connection failures.
-    pub fn dial(addr_text: &str) -> std::io::Result<Conn> {
-        let addrs = oa_serve::resolve(addr_text)?;
-        // lint: allow(nonblocking_event_loop, the one whitelisted blocking site: shard dials are loopback/LAN and paced by the reconnect backoff (DESIGN.md §11))
-        Conn::new(TcpStream::connect(addrs.as_slice())?)
-    }
-
-    /// Queues response bytes (the caller appends the newline).
-    pub fn queue(&mut self, bytes: &[u8]) {
-        self.wbuf.extend(bytes);
-    }
-
-    /// Unflushed write bytes.
-    pub fn queued(&self) -> usize {
-        self.wbuf.len()
-    }
-
-    /// Drains reads into complete frames and flushes queued writes,
-    /// each until `WouldBlock`.
-    pub fn sweep(&mut self) -> SweepOutcome {
-        let mut outcome = SweepOutcome::default();
-        self.sweep_read(&mut outcome);
-        self.sweep_write(&mut outcome);
-        if self.wbuf.len() > MAX_WRITE_BUFFER {
-            outcome.closed = true;
         }
-        outcome
     }
 
-    fn sweep_read(&mut self, outcome: &mut SweepOutcome) {
+    /// Blocks for the next read and returns the frames it completed
+    /// (newline stripped, trailing `\r` removed, blank lines skipped,
+    /// invalid UTF-8 replaced) — possibly none when the read ended
+    /// mid-frame. `None` means the connection is finished: EOF, a read
+    /// error, or a partial frame beyond [`MAX_FRAME`], which can never
+    /// complete and leaves the stream unsynchronizable.
+    pub(crate) fn read_frames(&mut self) -> Option<Vec<String>> {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
+        let n = loop {
             match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    outcome.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    outcome.progressed = true;
-                    self.rbuf
-                        .extend_from_slice(chunk.get(..n).unwrap_or_default());
-                    self.extract_frames(outcome);
-                    if outcome.closed {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    outcome.closed = true;
-                    break;
-                }
+                Ok(0) => return None,
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return None,
             }
-        }
-    }
-
-    fn extract_frames(&mut self, outcome: &mut SweepOutcome) {
+        };
+        self.rbuf
+            .extend_from_slice(chunk.get(..n).unwrap_or_default());
+        let mut frames = Vec::new();
         let mut start = 0usize;
-        loop {
-            let rest = self.rbuf.get(start..).unwrap_or_default();
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let frame = rest.get(..nl).unwrap_or_default();
+        while let Some(nl) = self
+            .rbuf
+            .get(start..)
+            .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+        {
+            let frame = self.rbuf.get(start..start + nl).unwrap_or_default();
             let mut text = String::from_utf8_lossy(frame).into_owned();
             while text.ends_with('\r') {
                 text.pop();
             }
             if !text.trim().is_empty() {
-                outcome.frames.push(text);
+                frames.push(text);
             }
             start += nl + 1;
         }
         self.rbuf.drain(..start);
-        if self.rbuf.len() > MAX_FRAME {
-            // A frame longer than the cap can never complete; the
-            // stream cannot be resynchronized, so the peer goes away.
-            outcome.closed = true;
-        }
-    }
-
-    fn sweep_write(&mut self, outcome: &mut SweepOutcome) {
-        while !self.wbuf.is_empty() {
-            let (front, _) = self.wbuf.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    outcome.closed = true;
-                    return;
-                }
-                Ok(n) => {
-                    outcome.progressed = true;
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    outcome.closed = true;
-                    return;
-                }
-            }
-        }
+        (self.rbuf.len() <= MAX_FRAME).then_some(frames)
     }
 }
 
-/// A nonblocking acceptor.
-#[derive(Debug)]
-pub struct Acceptor {
-    listener: TcpListener,
-}
-
-impl Acceptor {
-    /// Binds `addr` nonblocking.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn bind(addr: &str) -> std::io::Result<Acceptor> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Acceptor { listener })
-    }
-
-    /// The bound address (resolves port 0).
-    ///
-    /// # Errors
-    ///
-    /// Socket introspection failures.
-    pub fn addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Accepts every pending connection (until `WouldBlock`).
-    pub fn accept_all(&self) -> Vec<Conn> {
-        let mut accepted = Vec::new();
-        while let Ok((stream, _)) = self.listener.accept() {
-            if let Ok(conn) = Conn::new(stream) {
-                accepted.push(conn);
-            }
-        }
-        accepted
-    }
-}
-
-/// Adaptive sleep for idle sweeps: nothing moved → sleep, escalating
-/// 100 µs → 5 ms; any progress resets to busy. Pure counter state — no
-/// wall-clock reads, so the loop stays within the determinism lint.
+/// Bytes queued on one connection and not yet handed to the kernel.
 #[derive(Debug, Default)]
-pub struct IdleBackoff {
-    idle_sweeps: u32,
+struct Queue {
+    bytes: Vec<u8>,
+    /// Bytes taken by the writer and not yet fully written.
+    in_flight: usize,
+    closed: bool,
 }
 
-impl IdleBackoff {
-    /// Reports whether the last sweep made progress; sleeps when idle.
-    pub fn pace(&mut self, progressed: bool) {
-        if progressed {
-            self.idle_sweeps = 0;
-            return;
+/// The write half of a connection. Frames are appended under a short
+/// lock; the bytes are written outside it by whichever thread holds the
+/// write token, so frames stay whole and in queue order without any
+/// thread blocking on a peer while it holds a lock. A connection with a
+/// writer thread ([`Outbound::set_writer`]) is written only by that
+/// thread, so a peer that stops reading stalls nothing but its own
+/// writer; without one, the queuing thread writes itself.
+#[derive(Debug)]
+pub(crate) struct Outbound {
+    stream: TcpStream,
+    queue: Mutex<Queue>,
+    /// The write token: taken with `Acquire` and released with
+    /// `Release`, so one thread at a time writes the stream.
+    writing: AtomicBool,
+    writer: OnceLock<Thread>,
+}
+
+impl Outbound {
+    /// Wraps the write half of a stream.
+    pub(crate) fn new(stream: TcpStream) -> Outbound {
+        Outbound {
+            stream,
+            queue: Mutex::new(Queue::default()),
+            writing: AtomicBool::new(false),
+            writer: OnceLock::new(),
         }
-        self.idle_sweeps = self.idle_sweeps.saturating_add(1);
-        let micros = (100u64 << self.idle_sweeps.min(6)).min(5_000);
-        // lint: allow(nonblocking_event_loop, bounded idle backoff (≤5ms) when no connection made progress; trades latency for CPU by design)
-        std::thread::sleep(Duration::from_micros(micros));
+    }
+
+    /// Hands every write on this connection to `writer`, a thread
+    /// running [`Outbound::write_loop`].
+    pub(crate) fn set_writer(&self, writer: Thread) {
+        let _ = self.writer.set(writer);
+    }
+
+    /// Queues one frame (the caller appends the newline) and gets it
+    /// written. A connection whose unsent bytes would pass
+    /// [`MAX_WRITE_BUFFER`] is closed instead; frames queued after a
+    /// close are discarded.
+    pub(crate) fn enqueue(&self, frame: &[u8]) {
+        {
+            let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+            if queue.closed {
+                return;
+            }
+            if queue.bytes.len() + queue.in_flight + frame.len() > MAX_WRITE_BUFFER {
+                drop(queue);
+                self.close();
+                return;
+            }
+            queue.bytes.extend_from_slice(frame);
+        }
+        match self.writer.get() {
+            Some(writer) => writer.unpark(),
+            None => self.write_queued(),
+        }
+    }
+
+    /// Closes the connection in both directions: its reader sees EOF,
+    /// a write in progress fails, and nothing more is queued.
+    pub(crate) fn close(&self) {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(writer) = self.writer.get() {
+            writer.unpark();
+        }
+    }
+
+    /// Writes queued bytes until the queue is empty, unless another
+    /// thread holds the write token — it then writes them instead. A
+    /// write error closes the connection.
+    fn write_queued(&self) {
+        while self
+            .writing
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+        {
+            loop {
+                let bytes = {
+                    let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+                    let bytes = std::mem::take(&mut queue.bytes);
+                    queue.in_flight = bytes.len();
+                    bytes
+                };
+                if bytes.is_empty() {
+                    break;
+                }
+                let written = (&self.stream).write_all(&bytes);
+                self.queue
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .in_flight = 0;
+                if written.is_err() {
+                    self.close();
+                }
+            }
+            self.writing.store(false, Ordering::Release);
+            // A frame queued between the last take and the release saw
+            // the token held and left its bytes for us.
+            if self
+                .queue
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .bytes
+                .is_empty()
+            {
+                return;
+            }
+        }
+    }
+
+    /// The writer thread's body: write whatever is queued, park until
+    /// [`Outbound::enqueue`] or [`Outbound::close`] unparks it, and return
+    /// once the connection is closed.
+    pub(crate) fn write_loop(&self) {
+        loop {
+            self.write_queued();
+            if self.queue.lock().unwrap_or_else(|p| p.into_inner()).closed {
+                return;
+            }
+            std::thread::park();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A connected pair: the test's sending end and the accepted end
+    /// wrapped in a reader.
+    fn pair() -> (TcpStream, FrameReader) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (sender, FrameReader::new(accepted))
+    }
+
+    /// Reads until at least one frame completes (a read may end
+    /// mid-frame) or the connection finishes.
+    fn next_frames(reader: &mut FrameReader) -> Option<Vec<String>> {
+        loop {
+            let frames = reader.read_frames()?;
+            if !frames.is_empty() {
+                return Some(frames);
+            }
+        }
+    }
 
     #[test]
     fn frames_reassemble_across_chunk_boundaries() {
-        let acceptor = Acceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.addr().unwrap();
-        let mut sender = TcpStream::connect(addr).unwrap();
-        let mut conns = Vec::new();
-        for _ in 0..100 {
-            conns = acceptor.accept_all();
-            if !conns.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let conn = &mut conns[0];
-
+        let (mut sender, mut reader) = pair();
         sender.write_all(b"{\"id\":1}\n{\"id\"").unwrap();
-        sender.flush().unwrap();
-        let mut frames = Vec::new();
-        for _ in 0..200 {
-            frames.extend(conn.sweep().frames);
-            if !frames.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(frames, vec!["{\"id\":1}".to_owned()]);
+        assert_eq!(next_frames(&mut reader).unwrap(), vec!["{\"id\":1}"]);
 
-        // The tail half-frame completes on the next bytes.
-        sender.write_all(b":2}\r\n").unwrap();
-        sender.flush().unwrap();
+        // The tail half-frame completes on the next bytes; the trailing
+        // `\r` is stripped, blank lines are skipped and invalid UTF-8 is
+        // replaced rather than rejected.
+        sender.write_all(b":2}\r\n\n \r\nx\xffy\n").unwrap();
         let mut frames = Vec::new();
-        for _ in 0..200 {
-            frames.extend(conn.sweep().frames);
-            if !frames.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        while frames.len() < 2 {
+            frames.extend(next_frames(&mut reader).unwrap());
         }
-        assert_eq!(frames, vec!["{\"id\":2}".to_owned()]);
+        assert_eq!(frames, vec!["{\"id\":2}", "x\u{fffd}y"]);
 
-        // Peer disconnect surfaces as closed.
+        // Peer disconnect finishes the reader.
         drop(sender);
-        let mut closed = false;
-        for _ in 0..200 {
-            closed = conn.sweep().closed;
-            if closed {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(closed);
+        assert!(next_frames(&mut reader).is_none());
     }
 
     #[test]
     fn oversized_frames_close_the_connection() {
-        let acceptor = Acceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.addr().unwrap();
-        let mut sender = TcpStream::connect(addr).unwrap();
-        let mut conns = Vec::new();
-        for _ in 0..100 {
-            conns = acceptor.accept_all();
-            if !conns.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let (mut sender, mut reader) = pair();
+        let writer = std::thread::spawn(move || {
+            // The reader stops reading once it gives up, so the write
+            // may fail partway; either way the frame never completes.
+            let _ = sender.write_all(&vec![b'x'; MAX_FRAME + 2]);
+            sender
+        });
+        assert!(
+            next_frames(&mut reader).is_none(),
+            "a frame beyond MAX_FRAME must close the conn"
+        );
+        drop(reader);
+        drop(writer.join().unwrap());
+    }
+
+    #[test]
+    fn outbound_writes_frames_in_order_and_refuses_overflow() {
+        let (sender, mut reader) = pair();
+        let out = Outbound::new(sender);
+        out.enqueue(b"{\"id\":1}\n");
+        out.enqueue(b"{\"id\":2}\n");
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            frames.extend(next_frames(&mut reader).unwrap());
         }
-        let conn = &mut conns[0];
-        let big = vec![b'x'; MAX_FRAME + 2];
-        sender.write_all(&big).unwrap();
-        sender.flush().unwrap();
-        let mut closed = false;
-        for _ in 0..500 {
-            closed = conn.sweep().closed;
-            if closed {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(closed, "a frame beyond MAX_FRAME must close the conn");
+        assert_eq!(frames, vec!["{\"id\":1}", "{\"id\":2}"]);
+
+        // A frame that would pass the unsent-bytes cap closes the
+        // connection instead of queuing.
+        out.enqueue(&vec![b'x'; MAX_WRITE_BUFFER + 1]);
+        assert!(next_frames(&mut reader).is_none());
+        out.enqueue(b"{\"id\":3}\n");
+        assert!(
+            out.queue.lock().unwrap().bytes.is_empty(),
+            "closed connections queue nothing"
+        );
     }
 }

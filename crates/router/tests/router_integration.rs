@@ -9,12 +9,18 @@
 //!   `{"error":{"kind":"overloaded"}}` frame.
 //! * A killed shard fails over (requests keep getting answered) and
 //!   rejoins after restart, observable through `shard_map`.
+//! * A client that stops reading is dropped once its unsent responses
+//!   pass `MAX_WRITE_BUFFER`, and never delays another client.
 
 use std::fs;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use oa_fault::{Faults, RetryPolicy};
+use oa_router::net::MAX_WRITE_BUFFER;
 use oa_router::{start, Fabric, RouterConfig};
 use oa_serve::{request, serve, Client, ClientConfig, Json};
 
@@ -238,6 +244,86 @@ fn killed_shard_fails_over_and_rejoins() {
     }
 
     drop(client);
+    fabric.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_that_stops_reading_is_dropped_without_delaying_others() {
+    let dir = temp_dir("slow");
+    let _ = fs::remove_dir_all(&dir);
+    let fabric = Fabric::spawn(2, &dir, |_| {}).expect("fabric starts");
+    let addr = fabric.router.addr();
+    let patient = ClientConfig {
+        retry: RetryPolicy::disabled(),
+        timeout_millis: Some(10_000),
+    };
+    let mut good = Client::connect_with(addr, patient).expect("connect");
+    let map_line = r#"{"id":1,"op":"shard_map"}"#;
+    let frame_len = good.request(map_line).expect("shard_map").len() + 1;
+    let topologies = [0usize, 97, 1031];
+    let lines: Vec<String> = topologies
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| request::eval(i as u64, "S-1", t, &x_for(t)))
+        .collect();
+    let expected: Vec<String> = lines
+        .iter()
+        .map(|l| good.request(l).expect("warm eval"))
+        .collect();
+
+    // The slow client pipelines shard_map requests in batches and never
+    // reads; each batch also carries one eval, whose answer a shard-link
+    // thread delivers. After each batch it hands over to the good client
+    // and waits for an eval round to complete, so those rounds run while
+    // the slow client's unanswered backlog grows toward the cap. Its
+    // writes fail once the router has dropped it.
+    const BATCH: usize = 2_000;
+    let batch = format!("{map_line}\n").repeat(BATCH - 1) + &lines[0] + "\n";
+    let batch_bytes = (BATCH - 1) * frame_len + expected[0].len() + 1;
+    let (batch_tx, batch_rx) = mpsc::channel::<bool>();
+    let (round_tx, round_rx) = mpsc::channel::<()>();
+    let slow = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("slow client connects");
+        let mut batches = 0usize;
+        loop {
+            if stream.write_all(batch.as_bytes()).is_err() {
+                let _ = batch_tx.send(false);
+                return batches;
+            }
+            batches += 1;
+            if batch_tx.send(true).is_err() || round_rx.recv().is_err() {
+                return batches;
+            }
+        }
+    });
+    let mut rounds = 0usize;
+    // The slow client's writes only stall if the router stops reading
+    // it, i.e. if its unread answers back up into the router itself.
+    while batch_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the router kept reading the slow client")
+    {
+        for (line, want) in lines.iter().zip(&expected) {
+            let got = good.request(line).expect("eval during the flood");
+            assert_eq!(&got, want, "eval diverged while another client stalled");
+        }
+        rounds += 1;
+        round_tx.send(()).expect("slow client waits for the round");
+    }
+    let batches = slow.join().expect("slow client thread");
+    assert!(
+        batches * batch_bytes > MAX_WRITE_BUFFER,
+        "dropped after {batches} batches ({} response bytes), before its \
+         backlog could pass MAX_WRITE_BUFFER",
+        batches * batch_bytes
+    );
+    assert!(rounds > 0);
+    // The good client is still served after the drop.
+    for (line, want) in lines.iter().zip(&expected) {
+        assert_eq!(&good.request(line).expect("eval after the drop"), want);
+    }
+    drop(good);
     fabric.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,9 @@
 //!   `size_opt` (sizing BO under an explicit per-request seed), `stats`,
 //!   and the session family `open_session` / `step` / `session_stats` /
 //!   `close_session` (multi-tenant topology-BO sessions; DESIGN.md §13).
-//! * **Concurrency** — requests flow through a bounded queue into an
-//!   [`oa_par::Pool`]; overload becomes TCP backpressure.
+//! * **Concurrency** — store hits are answered on the connection
+//!   thread; everything else flows through a bounded queue into an
+//!   [`oa_par::Pool`], so overload becomes TCP backpressure.
 //! * **Persistence** — results are served from [`oa_store`] when the
 //!   evaluation key matches; only misses simulate. Same request + same
 //!   seed → byte-identical response, across restarts.

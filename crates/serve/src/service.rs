@@ -176,6 +176,55 @@ impl EndpointCounters {
     }
 }
 
+/// What [`Service::stage`] made of one request line.
+#[derive(Debug)]
+pub(crate) enum Staged {
+    /// The response, finished in the cheap stage: a store hit, or a
+    /// request that failed before reaching any work.
+    Answered(String),
+    /// Work for [`Service::compute`].
+    Deferred(Deferred),
+}
+
+/// A request the cheap stage handed on to the compute stage: the parsed
+/// request, its id, the endpoint clock and what is left to do.
+#[derive(Debug)]
+pub(crate) struct Deferred {
+    request: Json,
+    id: Json,
+    started: Instant,
+    task: Task,
+}
+
+/// The compute-stage work of one deferred request.
+#[derive(Debug)]
+enum Task {
+    EvalMiss(EvalMiss),
+    EvalBatch,
+    SizeOpt,
+    Stats,
+    OpenSession,
+    Step,
+    SessionStats,
+    CloseSession,
+}
+
+/// An `eval` whose key missed the store: everything the simulation and
+/// the append need.
+#[derive(Debug)]
+struct EvalMiss {
+    handle: EvalHandle,
+    topology: Topology,
+    x: Vec<f64>,
+    key: Vec<u8>,
+}
+
+/// The outcome of an `eval`'s one store probe.
+enum Probe {
+    Hit(String),
+    Miss(EvalMiss),
+}
+
 /// The evaluation service: one [`EvalHandle`] per spec, a persistent
 /// [`Store`], a shared WL featurizer, and traffic counters. Shared
 /// across worker threads behind an `Arc`.
@@ -260,11 +309,30 @@ impl Service {
     /// Maps one request line to one response line (no trailing newline).
     /// Never panics on malformed input — every failure becomes an
     /// `"ok":false` response carrying the request id when one was
-    /// readable.
+    /// readable. The composition of the cheap stage (`Service::stage`)
+    /// and the compute stage (`Service::compute`), which the TCP front
+    /// end runs on different threads.
     pub fn handle_line(&self, line: &str) -> String {
+        match self.stage(line) {
+            Staged::Answered(response) => response,
+            Staged::Deferred(deferred) => self.compute(deferred),
+        }
+    }
+
+    /// The cheap stage of [`Service::handle_line`]: parses the line,
+    /// derives an `eval`'s store key and probes the store once. A store
+    /// hit, or a request that fails before any work, is answered here;
+    /// everything else (`eval` misses, `eval_batch`, `size_opt`, `stats`
+    /// and the session ops) is deferred to [`Service::compute`]. The TCP
+    /// front end runs this stage on the connection thread and only the
+    /// compute stage on the worker pool.
+    pub(crate) fn stage(&self, line: &str) -> Staged {
         let request = match Json::parse(line) {
             Ok(v) => v,
-            Err(e) => return error_response(&Json::Null, &format!("bad request JSON: {e}")),
+            Err(e) => {
+                let response = error_response(&Json::Null, &format!("bad request JSON: {e}"));
+                return Staged::Answered(response);
+            }
         };
         let id = request.get("id").cloned().unwrap_or(Json::Null);
         // Determinism audit: `started` flows only into
@@ -274,46 +342,69 @@ impl Service {
         // eval_batch or size_opt response byte depends on it.
         // lint: allow(wall_clock, elapsed time feeds stats counters only, never response bytes)
         let started = Instant::now();
-        let (outcome, counters): (Result<String, OpError>, _) =
-            match request.get("op").and_then(Json::as_str) {
-                Some("eval") => (
-                    self.op_eval(&request).map_err(OpError::Plain),
-                    &self.eval_counters,
-                ),
-                Some("eval_batch") => (
-                    self.op_eval_batch(&request).map_err(OpError::Plain),
-                    &self.batch_counters,
-                ),
-                Some("size_opt") => (
-                    self.op_size_opt(&request).map_err(OpError::Plain),
-                    &self.size_opt_counters,
-                ),
-                Some("stats") => (Ok(self.op_stats()), &self.stats_counters),
-                Some("open_session") => (self.op_open_session(&request), &self.session_counters),
-                Some("step") => (self.op_step(&request), &self.session_counters),
-                Some("session_stats") => (self.op_session_stats(&request), &self.session_counters),
-                Some("close_session") => (self.op_close_session(&request), &self.session_counters),
-                Some(other) => (
-                    Err(OpError::plain(format!(
-                        "unknown op '{other}' (expected eval, eval_batch, size_opt, stats, \
-                         open_session, step, session_stats or close_session)"
-                    ))),
-                    &self.eval_counters,
-                ),
-                None => (
-                    Err(OpError::plain("missing string field 'op'")),
-                    &self.eval_counters,
-                ),
-            };
-        counters.record(started, outcome.is_ok());
-        match outcome {
-            Ok(result) => {
-                let id_txt = id.encode().unwrap_or_else(|_| "null".to_owned());
-                format!("{{\"id\":{id_txt},\"ok\":true,\"result\":{result}}}")
+        // Requests the cheap stage finishes all count as `eval`s.
+        let answered =
+            |outcome| Staged::Answered(answer(&id, started, &self.eval_counters, outcome));
+        let task = match request.get("op").and_then(Json::as_str) {
+            Some("eval") => match self.probe_eval(&request) {
+                Ok(Probe::Miss(miss)) => Task::EvalMiss(miss),
+                Ok(Probe::Hit(result)) => return answered(Ok(result)),
+                Err(message) => return answered(Err(OpError::Plain(message))),
+            },
+            Some("eval_batch") => Task::EvalBatch,
+            Some("size_opt") => Task::SizeOpt,
+            Some("stats") => Task::Stats,
+            Some("open_session") => Task::OpenSession,
+            Some("step") => Task::Step,
+            Some("session_stats") => Task::SessionStats,
+            Some("close_session") => Task::CloseSession,
+            Some(other) => {
+                return answered(Err(OpError::plain(format!(
+                    "unknown op '{other}' (expected eval, eval_batch, size_opt, stats, \
+                     open_session, step, session_stats or close_session)"
+                ))))
             }
-            Err(OpError::Plain(message)) => error_response(&id, &message),
-            Err(OpError::Typed { kind, detail }) => typed_error_response(&id, kind, &detail),
-        }
+            None => return answered(Err(OpError::plain("missing string field 'op'"))),
+        };
+        Staged::Deferred(Deferred {
+            request,
+            id,
+            started,
+            task,
+        })
+    }
+
+    /// The compute stage of [`Service::handle_line`]: runs a request
+    /// [`Service::stage`] deferred and renders its response. An `eval`
+    /// miss goes straight to the simulator — the cheap stage already
+    /// counted its one store probe.
+    pub(crate) fn compute(&self, deferred: Deferred) -> String {
+        let Deferred {
+            request,
+            id,
+            started,
+            task,
+        } = deferred;
+        let (outcome, counters): (Result<String, OpError>, _) = match task {
+            Task::EvalMiss(miss) => (
+                self.eval_miss(&miss).map_err(|e| OpError::Plain(e.detail)),
+                &self.eval_counters,
+            ),
+            Task::EvalBatch => (
+                self.op_eval_batch(&request).map_err(OpError::Plain),
+                &self.batch_counters,
+            ),
+            Task::SizeOpt => (
+                self.op_size_opt(&request).map_err(OpError::Plain),
+                &self.size_opt_counters,
+            ),
+            Task::Stats => (Ok(self.op_stats()), &self.stats_counters),
+            Task::OpenSession => (self.op_open_session(&request), &self.session_counters),
+            Task::Step => (self.op_step(&request), &self.session_counters),
+            Task::SessionStats => (self.op_session_stats(&request), &self.session_counters),
+            Task::CloseSession => (self.op_close_session(&request), &self.session_counters),
+        };
+        answer(&id, started, counters, outcome)
     }
 
     fn handle_for(&self, request: &Json) -> Result<&EvalHandle, String> {
@@ -346,15 +437,9 @@ impl Service {
             .collect()
     }
 
-    /// Store-through single evaluation; shared by `eval` and
-    /// `eval_batch`. Returns the result JSON text.
-    fn eval_via_store(
-        &self,
-        handle: &EvalHandle,
-        topology: &Topology,
-        x: &[f64],
-    ) -> Result<String, EvalError> {
-        let key = EvalKey {
+    /// The store key of one evaluation.
+    fn eval_key(&self, handle: &EvalHandle, topology: &Topology, x: &[f64]) -> Vec<u8> {
+        EvalKey {
             kind: EvalKind::Eval,
             topology_code: topology.index() as u64,
             x_bits: x.iter().map(|v| v.to_bits()).collect(),
@@ -362,30 +447,64 @@ impl Service {
             process_hash: self.process_hash,
             seed: 0,
         }
-        .encode();
-        if let Some(bytes) = self.store_get(&key) {
-            return String::from_utf8(bytes)
-                .map_err(|_| EvalError::internal("corrupt store value"));
-        }
-        let design = handle.eval(topology, x).map_err(EvalError::from)?;
-        self.sims.fetch_add(1, Ordering::Relaxed);
-        let fingerprint = {
-            let mut wl = self.wl.lock().unwrap_or_else(|p| p.into_inner());
-            wl_fingerprint(&mut wl, topology)
-        };
-        let result = eval_result_json(&design, fingerprint);
-        self.store_put(&key, result.as_bytes());
-        Ok(result)
+        .encode()
     }
 
-    fn op_eval(&self, request: &Json) -> Result<String, String> {
+    /// Store-through single evaluation for `eval_batch` items. Returns
+    /// the result JSON text.
+    fn eval_via_store(
+        &self,
+        handle: &EvalHandle,
+        topology: &Topology,
+        x: &[f64],
+    ) -> Result<String, EvalError> {
+        let key = self.eval_key(handle, topology, x);
+        match self.store_get(&key) {
+            Some(bytes) => stored_text(bytes),
+            None => self.eval_miss(&EvalMiss {
+                handle: handle.clone(),
+                topology: *topology,
+                x: x.to_vec(),
+                key,
+            }),
+        }
+    }
+
+    /// The cheap half of `eval`: validates the request and probes the
+    /// store once under the evaluation key. The top-level `eval` error
+    /// is the plain detail text; typed kinds are a per-item concern of
+    /// `eval_batch`.
+    fn probe_eval(&self, request: &Json) -> Result<Probe, String> {
         let handle = self.handle_for(request)?;
         let topology = Self::topology_from(request.get("topology"))?;
         let x = Self::x_from(request.get("x"))?;
-        // The top-level `eval` error is the plain detail text; typed
-        // kinds are a per-item concern of `eval_batch`.
-        self.eval_via_store(handle, &topology, &x)
-            .map_err(|e| e.detail)
+        let key = self.eval_key(handle, &topology, &x);
+        match self.store_get(&key) {
+            Some(bytes) => stored_text(bytes).map(Probe::Hit).map_err(|e| e.detail),
+            None => Ok(Probe::Miss(EvalMiss {
+                handle: handle.clone(),
+                topology,
+                x,
+                key,
+            })),
+        }
+    }
+
+    /// Simulates an evaluation the store does not hold and appends the
+    /// result under its key.
+    fn eval_miss(&self, miss: &EvalMiss) -> Result<String, EvalError> {
+        let design = miss
+            .handle
+            .eval(&miss.topology, &miss.x)
+            .map_err(EvalError::from)?;
+        self.sims.fetch_add(1, Ordering::Relaxed);
+        let fingerprint = {
+            let mut wl = self.wl.lock().unwrap_or_else(|p| p.into_inner());
+            wl_fingerprint(&mut wl, &miss.topology)
+        };
+        let result = eval_result_json(&design, fingerprint);
+        self.store_put(&miss.key, result.as_bytes());
+        Ok(result)
     }
 
     fn op_eval_batch(&self, request: &Json) -> Result<String, String> {
@@ -740,6 +859,29 @@ impl Service {
             eprintln!("oa-serve: store append failed: {e}");
         }
     }
+}
+
+/// Records an endpoint outcome and renders its response frame.
+fn answer(
+    id: &Json,
+    started: Instant,
+    counters: &EndpointCounters,
+    outcome: Result<String, OpError>,
+) -> String {
+    counters.record(started, outcome.is_ok());
+    match outcome {
+        Ok(result) => {
+            let id_txt = id.encode().unwrap_or_else(|_| "null".to_owned());
+            format!("{{\"id\":{id_txt},\"ok\":true,\"result\":{result}}}")
+        }
+        Err(OpError::Plain(message)) => error_response(id, &message),
+        Err(OpError::Typed { kind, detail }) => typed_error_response(id, kind, &detail),
+    }
+}
+
+/// A stored eval result as text.
+fn stored_text(bytes: Vec<u8>) -> Result<String, EvalError> {
+    String::from_utf8(bytes).map_err(|_| EvalError::internal("corrupt store value"))
 }
 
 /// Renders the canonical `{"id":ID,"ok":false,"error":"msg"}` frame.
