@@ -158,11 +158,11 @@ impl Json {
     /// [`JsonError::NonFiniteNumber`] if any number is `NaN` or `±Inf`.
     pub fn encode(&self) -> Result<String, JsonError> {
         let mut out = String::new();
-        self.write(&mut out)?;
+        self.encode_into(&mut out)?;
         Ok(out)
     }
 
-    fn write(&self, out: &mut String) -> Result<(), JsonError> {
+    fn encode_into(&self, out: &mut String) -> Result<(), JsonError> {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -175,7 +175,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out)?;
+                    item.encode_into(out)?;
                 }
                 out.push(']');
             }
@@ -187,7 +187,7 @@ impl Json {
                     }
                     write_string(key, out);
                     out.push(':');
-                    value.write(out)?;
+                    value.encode_into(out)?;
                 }
                 out.push('}');
             }
