@@ -3,31 +3,25 @@
 //! Every router connection — client or shard link — is a blocking
 //! socket with a thread parked in `read` on it, so a frame is handled
 //! the moment it arrives and an idle connection costs a sleeping thread
-//! instead of a poll. The read half is a `FrameReader`; the write half
-//! is an `Outbound` queue, which never writes while holding its lock.
+//! instead of a poll. The read half is `oa-serve`'s
+//! [`oa_serve::FrameReader`], the one framing the shards use too; the
+//! write half is an `Outbound` queue, which never writes while holding
+//! its lock.
 //!
-//! Frames are newline-delimited; a partial frame stays in the reader's
-//! buffer until its newline arrives. Read frames are capped at
-//! [`MAX_FRAME`] and a connection's unsent bytes at [`MAX_WRITE_BUFFER`];
-//! a peer exceeding either is dropped (oversized-frame and
-//! slow-consumer protection).
+//! Read frames are capped at [`oa_serve::MAX_FRAME`] and a connection's
+//! unsent bytes at [`MAX_WRITE_BUFFER`]; a peer exceeding either is
+//! dropped (oversized-frame and slow-consumer protection).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
-/// Hard cap on one request/response frame (1 MiB).
-pub const MAX_FRAME: usize = 1 << 20;
-
 /// Hard cap on unsent bytes per connection (8 MiB); beyond it the peer
 /// is considered a non-consuming client and dropped.
 pub const MAX_WRITE_BUFFER: usize = 8 << 20;
-
-/// Read chunk size per `read` call.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Bound on one shard dial, so a blackholed backend cannot hold its
 /// link thread (and therefore [`crate::Router::shutdown`]) for the
@@ -53,63 +47,6 @@ pub(crate) fn dial(addr_text: &str) -> std::io::Result<TcpStream> {
         }
     }
     Err(last.unwrap_or_else(|| std::io::Error::other("no address to dial")))
-}
-
-/// The read half of a connection: blocking reads reassembled into
-/// frames.
-#[derive(Debug)]
-pub(crate) struct FrameReader {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-}
-
-impl FrameReader {
-    /// Wraps the read half of a stream.
-    pub(crate) fn new(stream: TcpStream) -> FrameReader {
-        FrameReader {
-            stream,
-            rbuf: Vec::new(),
-        }
-    }
-
-    /// Blocks for the next read and returns the frames it completed
-    /// (newline stripped, trailing `\r` removed, blank lines skipped,
-    /// invalid UTF-8 replaced) — possibly none when the read ended
-    /// mid-frame. `None` means the connection is finished: EOF, a read
-    /// error, or a partial frame beyond [`MAX_FRAME`], which can never
-    /// complete and leaves the stream unsynchronizable.
-    pub(crate) fn read_frames(&mut self) -> Option<Vec<String>> {
-        let mut chunk = [0u8; READ_CHUNK];
-        let n = loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return None,
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return None,
-            }
-        };
-        self.rbuf
-            .extend_from_slice(chunk.get(..n).unwrap_or_default());
-        let mut frames = Vec::new();
-        let mut start = 0usize;
-        while let Some(nl) = self
-            .rbuf
-            .get(start..)
-            .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
-        {
-            let frame = self.rbuf.get(start..start + nl).unwrap_or_default();
-            let mut text = String::from_utf8_lossy(frame).into_owned();
-            while text.ends_with('\r') {
-                text.pop();
-            }
-            if !text.trim().is_empty() {
-                frames.push(text);
-            }
-            start += nl + 1;
-        }
-        self.rbuf.drain(..start);
-        (self.rbuf.len() <= MAX_FRAME).then_some(frames)
-    }
 }
 
 /// Bytes queued on one connection and not yet handed to the kernel.
@@ -248,6 +185,7 @@ impl Outbound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oa_serve::FrameReader;
     use std::net::TcpListener;
 
     /// A connected pair: the test's sending end and the accepted end
@@ -268,44 +206,6 @@ mod tests {
                 return Some(frames);
             }
         }
-    }
-
-    #[test]
-    fn frames_reassemble_across_chunk_boundaries() {
-        let (mut sender, mut reader) = pair();
-        sender.write_all(b"{\"id\":1}\n{\"id\"").unwrap();
-        assert_eq!(next_frames(&mut reader).unwrap(), vec!["{\"id\":1}"]);
-
-        // The tail half-frame completes on the next bytes; the trailing
-        // `\r` is stripped, blank lines are skipped and invalid UTF-8 is
-        // replaced rather than rejected.
-        sender.write_all(b":2}\r\n\n \r\nx\xffy\n").unwrap();
-        let mut frames = Vec::new();
-        while frames.len() < 2 {
-            frames.extend(next_frames(&mut reader).unwrap());
-        }
-        assert_eq!(frames, vec!["{\"id\":2}", "x\u{fffd}y"]);
-
-        // Peer disconnect finishes the reader.
-        drop(sender);
-        assert!(next_frames(&mut reader).is_none());
-    }
-
-    #[test]
-    fn oversized_frames_close_the_connection() {
-        let (mut sender, mut reader) = pair();
-        let writer = std::thread::spawn(move || {
-            // The reader stops reading once it gives up, so the write
-            // may fail partway; either way the frame never completes.
-            let _ = sender.write_all(&vec![b'x'; MAX_FRAME + 2]);
-            sender
-        });
-        assert!(
-            next_frames(&mut reader).is_none(),
-            "a frame beyond MAX_FRAME must close the conn"
-        );
-        drop(reader);
-        drop(writer.join().unwrap());
     }
 
     #[test]

@@ -57,10 +57,10 @@ use std::time::Duration;
 
 use oa_fault::{Decision, Faults, Site};
 use oa_serve::wire_kinds::{OVERLOADED, UNAVAILABLE};
-use oa_serve::{error_response, Json};
+use oa_serve::{error_response, FrameReader, Json};
 
 use crate::frame;
-use crate::net::{dial, FrameReader, Outbound};
+use crate::net::{dial, Outbound};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Delay before the first redial after a failed dial; it doubles with

@@ -8,9 +8,10 @@
 //! and share one persistent result store:
 //!
 //! * **Wire protocol** — newline-delimited JSON over TCP ([`json`] is
-//!   hand-rolled and property-tested; the crate is std-only). Requests
-//!   carry an `id` echoed in the response, so clients pipeline; see
-//!   DESIGN.md §7 for the schema.
+//!   hand-rolled and property-tested; the crate is std-only), read by
+//!   the [`FrameReader`] that `oa-router` shares, which caps a frame at
+//!   [`MAX_FRAME`]. Requests carry an `id` echoed in the response, so
+//!   clients pipeline; see DESIGN.md §7 for the schema.
 //! * **Endpoints** — `eval` (simulate one sized topology), `eval_batch`,
 //!   `size_opt` (sizing BO under an explicit per-request seed), `stats`,
 //!   and the session family `open_session` / `step` / `session_stats` /
@@ -20,7 +21,9 @@
 //!   [`oa_par::Pool`], so overload becomes TCP backpressure.
 //! * **Persistence** — results are served from [`oa_store`] when the
 //!   evaluation key matches; only misses simulate. Same request + same
-//!   seed → byte-identical response, across restarts.
+//!   seed → byte-identical response, across restarts. A fresh result is
+//!   written and published before its response is sent and fsynced
+//!   after it.
 //! * **Failure model** — a seeded [`oa_fault::Faults`] plan
 //!   ([`ServerConfig::faults`], `oa-serve --fault-seed`) injects dropped
 //!   and stalled connections, mid-frame disconnects, worker panics and
@@ -46,6 +49,7 @@
 
 pub mod chaos;
 mod client;
+mod framing;
 pub mod json;
 mod server;
 mod service;
@@ -53,6 +57,7 @@ mod session;
 pub mod wire_kinds;
 
 pub use client::{request, resolve, Client, ClientConfig, SessionDriver};
+pub use framing::{FrameReader, MAX_FRAME};
 pub use json::{Json, JsonError};
 pub use server::{default_store_dir, serve, Server, ServerConfig};
 pub use service::{

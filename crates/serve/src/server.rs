@@ -1,20 +1,26 @@
 //! The TCP front end: newline-delimited JSON over a bounded worker pool.
 //!
 //! One acceptor thread, one reader thread per connection, and a shared
-//! [`oa_par::Pool`]. The connection thread runs the cheap stage of each
-//! request (`Service::stage`): a store hit, or a request that fails
-//! before any work, is answered right there. Everything else — store
-//! misses, `eval_batch`, `size_opt`, `stats`, session ops — goes to the
-//! pool; the reader blocks in [`oa_par::Pool::submit`] when the queue is
-//! full, so overload turns into TCP backpressure instead of unbounded
-//! memory. Responses are written as each one finishes — **possibly out
-//! of request order** — and carry the request `id`, so clients can
-//! pipeline freely. Accepted sockets run with `TCP_NODELAY`: a frame is
-//! one write, and Nagle would hold a second reply on a pipelined link
-//! until the first is acknowledged.
+//! [`oa_par::Pool`]. The connection thread reads frames with a
+//! [`FrameReader`], so a request longer than [`crate::MAX_FRAME`] closes
+//! the connection instead of growing a buffer without limit. It runs
+//! the cheap stage of each request (`Service::stage`): a store hit, or
+//! a request that fails before any work, is answered right there.
+//! Everything else — store misses, `eval_batch`, `size_opt`, `stats`,
+//! session ops — goes to the pool; the reader blocks in
+//! [`oa_par::Pool::submit`] when the queue is full, so overload turns
+//! into TCP backpressure instead of unbounded memory. A pool job
+//! replies first and fsyncs the records its request appended second:
+//! the records are written and published before the reply, so a
+//! process crash loses nothing answered, and only the disk flush waits
+//! behind the socket write. Responses are written as each one finishes
+//! — **possibly out of request order** — and carry the request `id`,
+//! so clients can pipeline freely. Accepted sockets run with
+//! `TCP_NODELAY`: a frame is one write, and Nagle would hold a second
+//! reply on a pipelined link until the first is acknowledged.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,7 +32,8 @@ use oa_fault::{Decision, Faults, Site};
 use oa_par::Pool;
 use oa_store::Store;
 
-use crate::service::{Service, ShardIdentity, Staged};
+use crate::framing::FrameReader;
+use crate::service::{sync_appends, Service, ShardIdentity, Staged};
 
 /// Live connection registry: stream clones keyed by a connection id, so
 /// [`Server::kill`] can sever every peer. Connection threads remove
@@ -194,14 +201,21 @@ pub fn serve(config: ServerConfig) -> std::io::Result<Server> {
                     let service = Arc::clone(&service);
                     let pool = Arc::clone(&pool);
                     let faults = faults.clone();
-                    let conns = Arc::clone(&conns);
-                    let _ = std::thread::Builder::new()
+                    let registry = Arc::clone(&conns);
+                    let spawned = std::thread::Builder::new()
                         .name("oa-serve-conn".to_owned())
                         .spawn(move || {
                             connection_loop(stream, &service, &pool, &faults);
-                            let mut map = conns.lock().unwrap_or_else(|p| p.into_inner());
+                            let mut map = registry.lock().unwrap_or_else(|p| p.into_inner());
                             map.remove(&conn_id);
                         });
+                    if spawned.is_err() {
+                        // Nobody serves this stream: forget its clone, so
+                        // the map stays bounded by live connections and
+                        // the dropped clone closes the socket.
+                        let mut map = conns.lock().unwrap_or_else(|p| p.into_inner());
+                        map.remove(&conn_id);
+                    }
                 }
                 // `pool` drops with the acceptor once all connection
                 // threads have released their clones, joining workers.
@@ -222,40 +236,45 @@ fn connection_loop(stream: TcpStream, service: &Arc<Service>, pool: &Pool, fault
         Ok(w) => Arc::new(ResponseWriter::new(w)),
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Read-side faults: a dropped connection closes the socket with
-        // the request unanswered; a stall delays it (latency, not bytes).
-        match faults.decide(Site::ConnRead, line.len() as u64) {
-            Decision::DropConn => break,
-            Decision::Stall { millis } => std::thread::sleep(Duration::from_millis(millis)),
-            _ => {}
-        }
-        // The worker-panic site, drawn once per request before any work:
-        // the request dies unanswered and the client sees a timeout,
-        // exactly like a worker panicking between dequeue and reply.
-        if let Decision::Panic = faults.decide(Site::WorkerJob, 0) {
-            continue;
-        }
-        // Store hits and requests that fail before any work are answered
-        // here; only the compute stage waits for a pool worker.
-        let deferred = match service.stage(&line) {
-            Staged::Answered(response) => {
-                writer.reply(faults, response);
+    let mut reader = FrameReader::new(stream);
+    while let Some(lines) = reader.read_frames() {
+        for line in lines {
+            // Read-side faults: a dropped connection closes the socket
+            // with the request unanswered; a stall delays it (latency,
+            // not bytes).
+            match faults.decide(Site::ConnRead, line.len() as u64) {
+                Decision::DropConn => return,
+                Decision::Stall { millis } => std::thread::sleep(Duration::from_millis(millis)),
+                _ => {}
+            }
+            // The worker-panic site, drawn once per request before any
+            // work: the request dies unanswered and the client sees a
+            // timeout, exactly like a worker panicking between dequeue
+            // and reply.
+            if let Decision::Panic = faults.decide(Site::WorkerJob, 0) {
                 continue;
             }
-            Staged::Deferred(deferred) => deferred,
-        };
-        let service = Arc::clone(service);
-        let writer = Arc::clone(&writer);
-        let faults = faults.clone();
-        let submitted = pool.submit(move || writer.reply(&faults, service.compute(deferred)));
-        if submitted.is_err() {
-            break;
+            // Store hits and requests that fail before any work are
+            // answered here; only the compute stage waits for a pool
+            // worker.
+            let deferred = match service.stage(&line) {
+                Staged::Answered(response) => {
+                    writer.reply(faults, response);
+                    continue;
+                }
+                Staged::Deferred(deferred) => deferred,
+            };
+            let service = Arc::clone(service);
+            let writer = Arc::clone(&writer);
+            let faults = faults.clone();
+            let submitted = pool.submit(move || {
+                let (response, pending) = service.compute(deferred);
+                writer.reply(&faults, response);
+                sync_appends(pending);
+            });
+            if submitted.is_err() {
+                return;
+            }
         }
     }
 }
@@ -359,6 +378,7 @@ mod tests {
     use crate::client::Client;
     use crate::json::Json;
     use oa_circuit::{ParamSpace, Topology};
+    use std::io::ErrorKind;
 
     fn temp_config(tag: &str) -> (ServerConfig, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
@@ -410,6 +430,81 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..20).collect::<Vec<u64>>());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One S-1 eval of the bare cascade at a sizing that varies with `i`.
+    fn eval_line(i: usize) -> String {
+        let t = Topology::bare_cascade();
+        let dim = ParamSpace::for_topology(&t).dim();
+        let x = vec![format!("{:.17e}", 0.2 + 0.05 * i as f64); dim];
+        format!(
+            "{{\"id\":{i},\"op\":\"eval\",\"spec\":\"S-1\",\"topology\":{},\"x\":[{}]}}",
+            t.index(),
+            x.join(",")
+        )
+    }
+
+    #[test]
+    fn each_fresh_eval_is_in_the_log_before_its_response() {
+        let (config, dir) = temp_config("write_before_reply");
+        let log = config.store_path.clone();
+        let server = serve(config).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let mut before = std::fs::metadata(&log).unwrap().len();
+        for i in 0..4 {
+            let response = client.request(&eval_line(i)).unwrap();
+            // Read before the next request is sent: the reply alone
+            // orders this after the append.
+            let bytes = std::fs::read(&log).unwrap();
+            let result = response
+                .strip_suffix('}')
+                .and_then(|r| r.split_once("\"result\":"))
+                .map(|(_, result)| result)
+                .unwrap_or_else(|| panic!("not a result: {response}"));
+            assert!(bytes.len() as u64 > before, "eval {i} appended nothing");
+            assert!(
+                bytes.ends_with(result.as_bytes()),
+                "eval {i}: the log must end with the answered record"
+            );
+            before = bytes.len() as u64;
+        }
+        assert_eq!(server.service().sims(), 4);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_endless_frame_closes_only_its_own_connection() {
+        use std::io::Read;
+        let (config, dir) = temp_config("endless_frame");
+        let server = serve(config).unwrap();
+        let mut flood = TcpStream::connect(server.addr()).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut sender = flood.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            // The server stops reading once it gives up, so the write
+            // may fail partway; either way the frame never completes.
+            let _ = sender.write_all(&vec![b'x'; crate::MAX_FRAME + 2]);
+        });
+        let mut client = Client::connect(server.addr()).unwrap();
+        for i in 0..3 {
+            let response = client.request(&eval_line(i)).unwrap();
+            assert!(response.contains("\"ok\":true"), "{response}");
+        }
+        let mut byte = [0u8; 1];
+        match flood.read(&mut byte) {
+            Ok(0) => {}
+            Ok(_) => panic!("no response was due on the flooding connection"),
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "the flooding connection must be closed, not left open: {e}"
+            ),
+        }
+        writer.join().unwrap();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -26,7 +26,7 @@ use oa_bo::{BoSession, TopoBoConfig, TopoObservation};
 use oa_circuit::Topology;
 use oa_fault::{Decision, Faults, Site};
 use oa_graph::WlFeaturizer;
-use oa_store::{hash_f64s, EvalKey, EvalKind, Store};
+use oa_store::{hash_f64s, EvalKey, EvalKind, Store, Unsynced};
 
 use crate::json::Json;
 use crate::session::{
@@ -311,11 +311,17 @@ impl Service {
     /// `"ok":false` response carrying the request id when one was
     /// readable. The composition of the cheap stage (`Service::stage`)
     /// and the compute stage (`Service::compute`), which the TCP front
-    /// end runs on different threads.
+    /// end runs on different threads. Every store append the request
+    /// made is fsynced before this returns; the TCP front end runs that
+    /// fsync after writing the response instead.
     pub fn handle_line(&self, line: &str) -> String {
         match self.stage(line) {
             Staged::Answered(response) => response,
-            Staged::Deferred(deferred) => self.compute(deferred),
+            Staged::Deferred(deferred) => {
+                let (response, pending) = self.compute(deferred);
+                sync_appends(pending);
+                response
+            }
         }
     }
 
@@ -377,34 +383,41 @@ impl Service {
     /// The compute stage of [`Service::handle_line`]: runs a request
     /// [`Service::stage`] deferred and renders its response. An `eval`
     /// miss goes straight to the simulator — the cheap stage already
-    /// counted its one store probe.
-    pub(crate) fn compute(&self, deferred: Deferred) -> String {
+    /// counted its one store probe. Every record the request appended is
+    /// written and published before this returns; their one pending
+    /// fsync comes back with the response, for `sync_appends` to run
+    /// once the response is on its way.
+    pub(crate) fn compute(&self, deferred: Deferred) -> (String, Option<Unsynced>) {
         let Deferred {
             request,
             id,
             started,
             task,
         } = deferred;
+        let mut pending = None;
         let (outcome, counters): (Result<String, OpError>, _) = match task {
             Task::EvalMiss(miss) => (
-                self.eval_miss(&miss).map_err(|e| OpError::Plain(e.detail)),
+                self.eval_miss(&miss, &mut pending)
+                    .map_err(|e| OpError::Plain(e.detail)),
                 &self.eval_counters,
             ),
             Task::EvalBatch => (
-                self.op_eval_batch(&request).map_err(OpError::Plain),
+                self.op_eval_batch(&request, &mut pending)
+                    .map_err(OpError::Plain),
                 &self.batch_counters,
             ),
             Task::SizeOpt => (
-                self.op_size_opt(&request).map_err(OpError::Plain),
+                self.op_size_opt(&request, &mut pending)
+                    .map_err(OpError::Plain),
                 &self.size_opt_counters,
             ),
             Task::Stats => (Ok(self.op_stats()), &self.stats_counters),
             Task::OpenSession => (self.op_open_session(&request), &self.session_counters),
-            Task::Step => (self.op_step(&request), &self.session_counters),
+            Task::Step => (self.op_step(&request, &mut pending), &self.session_counters),
             Task::SessionStats => (self.op_session_stats(&request), &self.session_counters),
             Task::CloseSession => (self.op_close_session(&request), &self.session_counters),
         };
-        answer(&id, started, counters, outcome)
+        (answer(&id, started, counters, outcome), pending)
     }
 
     fn handle_for(&self, request: &Json) -> Result<&EvalHandle, String> {
@@ -457,16 +470,20 @@ impl Service {
         handle: &EvalHandle,
         topology: &Topology,
         x: &[f64],
+        pending: &mut Option<Unsynced>,
     ) -> Result<String, EvalError> {
         let key = self.eval_key(handle, topology, x);
         match self.store_get(&key) {
             Some(bytes) => stored_text(bytes),
-            None => self.eval_miss(&EvalMiss {
-                handle: handle.clone(),
-                topology: *topology,
-                x: x.to_vec(),
-                key,
-            }),
+            None => self.eval_miss(
+                &EvalMiss {
+                    handle: handle.clone(),
+                    topology: *topology,
+                    x: x.to_vec(),
+                    key,
+                },
+                pending,
+            ),
         }
     }
 
@@ -492,7 +509,11 @@ impl Service {
 
     /// Simulates an evaluation the store does not hold and appends the
     /// result under its key.
-    fn eval_miss(&self, miss: &EvalMiss) -> Result<String, EvalError> {
+    fn eval_miss(
+        &self,
+        miss: &EvalMiss,
+        pending: &mut Option<Unsynced>,
+    ) -> Result<String, EvalError> {
         let design = miss
             .handle
             .eval(&miss.topology, &miss.x)
@@ -503,11 +524,15 @@ impl Service {
             wl_fingerprint(&mut wl, &miss.topology)
         };
         let result = eval_result_json(&design, fingerprint);
-        self.store_put(&miss.key, result.as_bytes());
+        self.store_append(&miss.key, result.as_bytes(), pending);
         Ok(result)
     }
 
-    fn op_eval_batch(&self, request: &Json) -> Result<String, String> {
+    fn op_eval_batch(
+        &self,
+        request: &Json,
+        pending: &mut Option<Unsynced>,
+    ) -> Result<String, String> {
         let handle = self.handle_for(request)?;
         let items = request
             .get("items")
@@ -527,7 +552,7 @@ impl Service {
                 Self::topology_from(item.get("topology"))
                     .and_then(|t| Self::x_from(item.get("x")).map(|x| (t, x)))
                     .map_err(EvalError::bad_request)
-                    .and_then(|(t, x)| self.eval_via_store(handle, &t, &x))
+                    .and_then(|(t, x)| self.eval_via_store(handle, &t, &x, pending))
             };
             match part {
                 Ok(result) => parts.push(result),
@@ -541,7 +566,11 @@ impl Service {
         ))
     }
 
-    fn op_size_opt(&self, request: &Json) -> Result<String, String> {
+    fn op_size_opt(
+        &self,
+        request: &Json,
+        pending: &mut Option<Unsynced>,
+    ) -> Result<String, String> {
         let handle = self.handle_for(request)?;
         let topology = Self::topology_from(request.get("topology"))?;
         let seed = request.get("seed").and_then(Json::as_u64).unwrap_or(0);
@@ -553,7 +582,7 @@ impl Service {
             .get("n_iter")
             .and_then(Json::as_u64)
             .unwrap_or(DEFAULT_SIZE_OPT_ITER as u64) as usize;
-        self.size_opt_via_store(handle, &topology, seed, n_init, n_iter)
+        self.size_opt_via_store(handle, &topology, seed, n_init, n_iter, pending)
     }
 
     /// Store-through sizing-BO run; shared by `size_opt` and the
@@ -567,6 +596,7 @@ impl Service {
         seed: u64,
         n_init: usize,
         n_iter: usize,
+        pending: &mut Option<Unsynced>,
     ) -> Result<String, String> {
         let key = EvalKey {
             kind: EvalKind::SizeOpt,
@@ -587,7 +617,7 @@ impl Service {
             .map(|d| oa_circuit::ParamSpace::for_topology(&d.topology).encode(&d.values))
             .unwrap_or_default();
         let result = size_opt_result_json(&design, sims, &x);
-        self.store_put(&key, result.as_bytes());
+        self.store_append(&key, result.as_bytes(), pending);
         Ok(result)
     }
 
@@ -691,7 +721,7 @@ impl Service {
         Ok(result)
     }
 
-    fn op_step(&self, request: &Json) -> Result<String, OpError> {
+    fn op_step(&self, request: &Json, pending: &mut Option<Unsynced>) -> Result<String, OpError> {
         let session = session_id(request)?;
         let slot = self
             .sessions
@@ -723,7 +753,14 @@ impl Service {
             .get(core.target)
             .ok_or_else(|| OpError::plain("internal: session spec handle missing"))?;
         let result = self
-            .size_opt_via_store(handle, &topology, core.seed, core.size_init, core.size_iter)
+            .size_opt_via_store(
+                handle,
+                &topology,
+                core.seed,
+                core.size_init,
+                core.size_iter,
+                pending,
+            )
             .map_err(OpError::Plain)?;
         let record = Json::parse(&result)
             .map_err(|e| OpError::plain(format!("corrupt store value: {e}")))?;
@@ -848,16 +885,31 @@ impl Service {
         store.get(key)
     }
 
-    fn store_put(&self, key: &[u8], value: &[u8]) {
-        // The lock covers only the append, never a simulation. Two
-        // concurrent misses on the same key both simulate and both
-        // append; the records are byte-identical, so last-write-wins is
-        // harmless and responses stay deterministic.
-        let mut store = self.store.lock().unwrap_or_else(|p| p.into_inner());
-        if let Err(e) = store.put(key, value) {
+    /// Writes and publishes one record, keeping its fsync in `pending`
+    /// (the latest pending sync covers every earlier append).
+    fn store_append(&self, key: &[u8], value: &[u8], pending: &mut Option<Unsynced>) {
+        // The lock covers only the write, never a simulation or a disk
+        // flush. Two concurrent misses on the same key both simulate
+        // and both append; the records are byte-identical, so
+        // last-write-wins is harmless and responses stay deterministic.
+        let appended = {
+            let mut store = self.store.lock().unwrap_or_else(|p| p.into_inner());
+            store.append(key, value)
+        };
+        match appended {
+            Ok(unsynced) => *pending = Some(unsynced),
             // The store is an optimization; serving continues without it.
-            eprintln!("oa-serve: store append failed: {e}");
+            Err(e) => eprintln!("oa-serve: store append failed: {e}"),
         }
+    }
+}
+
+/// Runs a request's pending store fsync. A failed flush is reported
+/// like a failed append and otherwise ignored: the record stays
+/// published, and serving continues.
+pub(crate) fn sync_appends(pending: Option<Unsynced>) {
+    if let Some(Err(e)) = pending.map(Unsynced::sync) {
+        eprintln!("oa-serve: store sync failed: {e}");
     }
 }
 
@@ -968,6 +1020,30 @@ mod tests {
             result.get("feasible").unwrap().as_bool().unwrap(),
             direct.feasible
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_miss_is_served_from_the_store_before_its_sync_runs() {
+        let (service, dir) = temp_store("unsynced");
+        let t = Topology::bare_cascade();
+        let line = eval_line(1, t.index(), &vec![0.5; ParamSpace::for_topology(&t).dim()]);
+        let Staged::Deferred(deferred) = service.stage(&line) else {
+            panic!("a fresh eval must reach the compute stage");
+        };
+        let (first, pending) = service.compute(deferred);
+        assert!(
+            pending.is_some(),
+            "the append's fsync is left to the caller"
+        );
+        // The response is out and the fsync has not run: the record is
+        // already written and published.
+        let Staged::Answered(second) = service.stage(&line) else {
+            panic!("the repeat must be answered from the store");
+        };
+        assert_eq!(second, first);
+        assert_eq!(service.sims(), 1);
+        sync_appends(pending);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

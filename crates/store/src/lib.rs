@@ -9,7 +9,12 @@
 //! The store is an **append-only record log** ([`Store`]):
 //!
 //! * every [`Store::put`] appends one checksummed record and fsyncs it
-//!   before returning — a record is either fully on disk or not at all;
+//!   before publishing it — a record is either fully on disk or not at
+//!   all; [`Store::append`] writes and publishes the same record at once
+//!   and hands its fsync to the returned [`Unsynced`], so a server can
+//!   answer before the disk flush: a process crash then loses nothing
+//!   written, an OS crash at most the records whose sync had not
+//!   returned;
 //! * opening scans the log, verifies each record's magic, bounds and
 //!   FNV-1a checksum, and rebuilds the in-memory index; a torn final
 //!   record (a crash mid-append) is **dropped, not fatal** — the file is
@@ -35,7 +40,7 @@ mod eval;
 mod log;
 
 pub use eval::{EvalKey, EvalKind};
-pub use log::{Store, StoreStats};
+pub use log::{Store, StoreStats, Unsynced};
 
 /// 64-bit FNV-1a hash — the store's checksum and the conventional way to
 /// derive [`EvalKey::process_hash`] from process-constant bit patterns.

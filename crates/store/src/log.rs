@@ -23,6 +23,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use oa_fault::{Decision, Faults, Site};
 
@@ -54,10 +55,16 @@ pub struct StoreStats {
 
 /// A crash-safe persistent byte-keyed store over an append-only log.
 ///
+/// Two ways to add a record: [`Store::put`] writes, fsyncs, then
+/// publishes; [`Store::append`] writes and publishes, and leaves the
+/// fsync to the returned [`Unsynced`], which can run after the caller
+/// has released the store.
+///
 /// Concurrency model: a `Store` is a single-writer handle — wrap it in a
-/// `Mutex` to share between threads. Two *processes* must not append to
-/// the same log concurrently (last-opener-wins corruption risk on the
-/// shared tail); one daemon or one harness binary per log.
+/// `Mutex` to share between threads; an [`Unsynced`] needs no lock.
+/// Two *processes* must not append to the same log concurrently
+/// (last-opener-wins corruption risk on the shared tail); one daemon or
+/// one harness binary per log.
 ///
 /// # Examples
 ///
@@ -77,7 +84,9 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Store {
     path: PathBuf,
-    file: File,
+    /// Shared with every pending [`Unsynced`], so a deferred fsync
+    /// needs neither this handle nor a second descriptor.
+    file: Arc<File>,
     index: BTreeMap<Vec<u8>, Vec<u8>>,
     log_bytes: u64,
     appended: u64,
@@ -86,10 +95,36 @@ pub struct Store {
     misses: AtomicU64,
     faults: Faults,
     /// Set when a failed append may have left bytes past `log_bytes`
-    /// (torn write, write error, or unsynced tail). The next append
-    /// truncates back to the last durable record before writing, so a
-    /// garbage tail can never poison later records.
+    /// (torn write, write error, or a record whose sync failed). The
+    /// next append truncates back to the last published record before
+    /// writing, so a garbage tail can never poison later records.
     tail_dirty: bool,
+}
+
+/// A record [`Store::append`] wrote and published whose fsync is still
+/// pending. Until [`Unsynced::sync`] returns, a process crash loses
+/// nothing (the bytes are in the kernel) but an OS crash or power loss
+/// may drop the record. Dropping it unsynced leaves that window open
+/// until the kernel writes the page back.
+#[derive(Debug)]
+pub struct Unsynced {
+    file: Arc<File>,
+}
+
+impl Unsynced {
+    /// Flushes the log's data to disk (`fdatasync`), which makes this
+    /// record and every earlier append to the same log durable, so a
+    /// caller that appended several records syncs only the last. Takes
+    /// no store lock.
+    ///
+    /// # Errors
+    ///
+    /// The flush's I/O error. The record stays published: what reached
+    /// the disk is then unknown, the same ambiguity a failed
+    /// [`Store::put`] rollback leaves.
+    pub fn sync(self) -> io::Result<()> {
+        self.file.sync_data()
+    }
 }
 
 /// Wraps an injected fault as the `io::Error` the instrumented
@@ -208,7 +243,7 @@ impl Store {
         file.seek(SeekFrom::Start(offset as u64))?;
         Ok(Store {
             path,
-            file,
+            file: Arc::new(file),
             index,
             log_bytes: offset as u64,
             appended,
@@ -245,7 +280,7 @@ impl Store {
         self.index.contains_key(key)
     }
 
-    /// Appends a record and fsyncs it before returning: once `put`
+    /// Appends a record and fsyncs it before publishing it: once `put`
     /// succeeds the record survives a crash. The converse also holds —
     /// a `put` that returns an error leaves **no trace**: any partially
     /// written bytes are rolled back before the next append, and a
@@ -257,6 +292,43 @@ impl Store {
     /// I/O errors, or `InvalidInput` for keys/values over the format's
     /// length bound.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
+        let len = self.write_record(key, value)?;
+        if let Err(e) = self.file.sync_data() {
+            // Reporting success would break the put-implies-durable
+            // contract, so the put fails and takes its record back.
+            self.roll_back();
+            return Err(e);
+        }
+        self.publish(key, value, len);
+        Ok(())
+    }
+
+    /// Appends a record and publishes it before it is durable: `get`
+    /// returns it and [`Store::stats`] counts it as soon as this
+    /// returns, and the returned [`Unsynced`] runs the fsync whenever
+    /// the caller chooses, without this handle. The write, the fault
+    /// draws and the failure behaviour are [`Store::put`]'s: a failed
+    /// append, injected or real, publishes nothing and leaves no trace.
+    /// The log's bytes are identical to a `put`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::put`], except that the fsync's own error surfaces
+    /// from [`Unsynced::sync`].
+    #[must_use = "the record is not durable until `Unsynced::sync` runs"]
+    pub fn append(&mut self, key: &[u8], value: &[u8]) -> io::Result<Unsynced> {
+        let len = self.write_record(key, value)?;
+        self.publish(key, value, len);
+        Ok(Unsynced {
+            file: Arc::clone(&self.file),
+        })
+    }
+
+    /// The write half of [`Store::put`] and [`Store::append`]: checks
+    /// the bounds, repairs a dirty tail, writes the whole record and
+    /// draws both store fault sites. Returns the record's length; the
+    /// record is written but neither durable nor published.
+    fn write_record(&mut self, key: &[u8], value: &[u8]) -> io::Result<u64> {
         if key.len() > MAX_FIELD_LEN || value.len() > MAX_FIELD_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -267,53 +339,59 @@ impl Store {
             self.repair_tail()?;
         }
         let rec = encode_record(key, value);
+        let mut file: &File = &self.file;
         if let Decision::TornWrite { keep } = self.faults.decide(Site::StoreWrite, rec.len() as u64)
         {
             // Model a crash mid-append: the torn prefix reaches the
             // file (so reopening exercises torn-tail recovery), the
-            // caller sees a failed put, and this handle self-heals
+            // caller sees a failed append, and this handle self-heals
             // on its next append.
             // lint: allow(panic, Faults guarantees keep < rec.len() for TornWrite)
-            let _ = self.file.write_all(&rec[..keep as usize]);
-            let _ = self.file.sync_data();
+            let _ = file.write_all(&rec[..keep as usize]);
+            let _ = file.sync_data();
             self.tail_dirty = true;
             return Err(injected("torn append"));
         }
-        if let Err(e) = self.file.write_all(&rec) {
+        if let Err(e) = file.write_all(&rec) {
             // Unknown how much landed; truncate before the next append.
             self.tail_dirty = true;
             return Err(e);
         }
-        let sync_result = match self.faults.decide(Site::StoreSync, 0) {
-            Decision::FailSync => Err(injected("fsync after append")),
-            _ => self.file.sync_data(),
-        };
-        if let Err(e) = sync_result {
-            // The bytes are written but not durable. Reporting success
-            // would break the put-implies-durable contract, so fail the
-            // put and roll the record back *now* — unlike a torn write,
-            // the unsynced record is complete, so the reopen-time scan
-            // would resurrect it if it reached disk anyway. If the
-            // rollback itself fails, the next append retries it, and a
-            // crash before then leaves the one ambiguity real fsync
-            // semantics always leave: a failed put that survived.
-            self.tail_dirty = true;
-            let _ = self.repair_tail();
-            return Err(e);
+        if let Decision::FailSync = self.faults.decide(Site::StoreSync, 0) {
+            self.roll_back();
+            return Err(injected("fsync after append"));
         }
-        self.log_bytes += rec.len() as u64;
-        self.appended += 1;
-        self.index.insert(key.to_vec(), value.to_vec());
-        Ok(())
+        Ok(rec.len() as u64)
     }
 
-    /// Truncates the file back to the last durable record after a
+    /// Makes a written record visible to `get` and counts it in
+    /// [`Store::stats`].
+    fn publish(&mut self, key: &[u8], value: &[u8], len: u64) {
+        self.log_bytes += len;
+        self.appended += 1;
+        self.index.insert(key.to_vec(), value.to_vec());
+    }
+
+    /// Takes back a whole record that was written but whose sync
+    /// failed, so it will not be published. Unlike a torn write, the
+    /// record is complete, so the reopen-time scan would resurrect it
+    /// if it reached disk anyway: roll it back *now*. If the rollback
+    /// itself fails, the next append retries it, and a crash before
+    /// then leaves the one ambiguity real fsync semantics always leave:
+    /// a failed append that survived.
+    fn roll_back(&mut self) {
+        self.tail_dirty = true;
+        let _ = self.repair_tail();
+    }
+
+    /// Truncates the file back to the last published record after a
     /// failed append. Keeps `tail_dirty` set if the truncation itself
     /// fails, so the repair is retried before any later append.
     fn repair_tail(&mut self) -> io::Result<()> {
-        self.file.set_len(self.log_bytes)?;
-        self.file.seek(SeekFrom::Start(self.log_bytes))?;
-        self.file.sync_data()?;
+        let mut file: &File = &self.file;
+        file.set_len(self.log_bytes)?;
+        file.seek(SeekFrom::Start(self.log_bytes))?;
+        file.sync_data()?;
         self.tail_dirty = false;
         Ok(())
     }
@@ -379,8 +457,9 @@ impl Store {
         tmp.sync_data()?;
         drop(tmp);
         fs::rename(&tmp_path, &self.path)?;
-        self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        self.file.seek(SeekFrom::End(0))?;
+        self.file = Arc::new(OpenOptions::new().read(true).write(true).open(&self.path)?);
+        let mut file: &File = &self.file;
+        file.seek(SeekFrom::End(0))?;
         self.log_bytes = bytes;
         self.appended = self.index.len() as u64;
         self.recovered_tail_bytes = 0;
@@ -591,6 +670,63 @@ mod tests {
         let s = Store::open(&path).unwrap();
         assert_eq!(s.get(b"k"), None, "unsynced record must not survive");
         cleanup(&path);
+    }
+
+    #[test]
+    fn appended_record_is_visible_before_its_sync_and_survives_a_process_crash() {
+        let path = temp_log("append_unsynced");
+        let mut s = Store::open(&path).unwrap();
+        let unsynced = s.append(b"k", b"v").unwrap();
+        assert_eq!(s.get(b"k").as_deref(), Some(&b"v"[..]), "visible unsynced");
+        assert_eq!(s.stats().appended_records, 1);
+        // A process crash: the handle and its pending sync vanish. The
+        // bytes were written before `append` returned.
+        drop(unsynced);
+        drop(s);
+        let s = Store::open(&path).unwrap();
+        assert_eq!(s.get(b"k").as_deref(), Some(&b"v"[..]));
+        assert_eq!(s.stats().recovered_tail_bytes, 0);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn injected_sync_failure_fails_the_append_with_nothing_published() {
+        use oa_fault::FaultConfig;
+        let path = temp_log("inj_sync_append");
+        let config = FaultConfig {
+            fail_sync_per_mille: 1000,
+            ..FaultConfig::default()
+        };
+        let mut s = Store::open_with_faults(&path, Faults::seeded(3, config)).unwrap();
+        s.append(b"k", b"v").unwrap_err();
+        assert_eq!(s.get(b"k"), None, "failed append must not be visible");
+        assert_eq!(s.stats().appended_records, 0);
+        assert_eq!(s.stats().log_bytes, 0);
+        drop(s);
+        let s = Store::open(&path).unwrap();
+        assert!(s.is_empty(), "failed append must leave nothing on disk");
+        assert_eq!(fs::metadata(&path).unwrap().len(), 0);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn append_then_sync_writes_the_bytes_put_writes() {
+        let put_path = temp_log("bytes_put");
+        let append_path = temp_log("bytes_append");
+        let mut by_put = Store::open(&put_path).unwrap();
+        let mut by_append = Store::open(&append_path).unwrap();
+        for (k, v) in [(&b"a"[..], &b"1"[..]), (b"b", &[0u8, 255]), (b"a", b"2")] {
+            by_put.put(k, v).unwrap();
+            by_append.append(k, v).unwrap().sync().unwrap();
+        }
+        assert_eq!(by_append.stats(), by_put.stats());
+        drop((by_put, by_append));
+        assert_eq!(
+            fs::read(&append_path).unwrap(),
+            fs::read(&put_path).unwrap()
+        );
+        cleanup(&put_path);
+        cleanup(&append_path);
     }
 
     #[test]
